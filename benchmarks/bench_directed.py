@@ -13,8 +13,8 @@ import pytest
 
 from repro.network.generators import one_way_grid_network
 from repro.search.alt import LandmarkIndex, alt_path
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.dijkstra import dijkstra_path
+from repro.search.kernels import csr_bidirectional_path
 from repro.search.multi import SharedTreeProcessor, SideSelectingProcessor
 
 _NET = one_way_grid_network(40, 40, perturbation=0.05, seed=99)
@@ -39,7 +39,7 @@ def test_directed_dijkstra(benchmark, reference_total):
 
 def test_directed_bidirectional(benchmark, reference_total):
     total = benchmark(
-        _total, lambda s, t: bidirectional_dijkstra_path(_NET, s, t)
+        _total, lambda s, t: csr_bidirectional_path(_NET, s, t)
     )
     assert total == pytest.approx(reference_total)
 

@@ -1,7 +1,7 @@
 """Ablation bench: point-to-point engines the server could run.
 
-Times Dijkstra, A* (Euclidean), bidirectional Dijkstra, ALT,
-Contraction Hierarchies and the flat CSR kernels on the same long-radius
+Times Dijkstra, A* (Euclidean), ALT and the flat CSR kernels (Dijkstra,
+bidirectional Dijkstra, Contraction Hierarchies) on the same long-radius
 queries — the engine choice underneath the naive pairwise processor, and
 a sanity anchor for every settled-node comparison in the experiment
 suite.  Preprocessing (ALT landmarks, CH contraction, CSR snapshots) is
@@ -31,8 +31,7 @@ from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, scale_free_network
 from repro.search.alt import LandmarkIndex, alt_path
 from repro.search.astar import astar_path
-from repro.search.bidirectional import bidirectional_dijkstra_path
-from repro.search.ch import ch_path, contract_network
+from repro.search.ch import contract_network
 from repro.search.dijkstra import dijkstra_path
 from repro.search.kernels import (
     CSRHierarchy,
@@ -46,9 +45,8 @@ from repro.search.multi import SharedTreeProcessor
 _NET = grid_network(50, 50, perturbation=0.1, seed=77)
 _NODES = list(_NET.nodes())
 _INDEX = LandmarkIndex(_NET, num_landmarks=6)
-_CH = contract_network(_NET)
 _CSR = csr_snapshot(_NET)
-_CSR_CH = CSRHierarchy(_CH)
+_CSR_CH = CSRHierarchy(contract_network(_NET))
 _PAIRS = [
     tuple(random.Random(seed).sample(_NODES, 2)) for seed in range(8)
 ]
@@ -76,20 +74,8 @@ def test_engine_astar_euclidean(benchmark, reference_total):
     assert total == pytest.approx(reference_total)
 
 
-def test_engine_bidirectional(benchmark, reference_total):
-    total = benchmark(
-        _run_all, lambda s, t: bidirectional_dijkstra_path(_NET, s, t)
-    )
-    assert total == pytest.approx(reference_total)
-
-
 def test_engine_alt(benchmark, reference_total):
     total = benchmark(_run_all, lambda s, t: alt_path(_NET, s, t, _INDEX))
-    assert total == pytest.approx(reference_total)
-
-
-def test_engine_ch(benchmark, reference_total):
-    total = benchmark(_run_all, lambda s, t: ch_path(_CH, s, t))
     assert total == pytest.approx(reference_total)
 
 
@@ -128,7 +114,7 @@ def _speedup_report(label, net, num_pairs, seed, alt_landmarks=6):
     pairs = [tuple(rng.sample(nodes, 2)) for _ in range(num_pairs)]
 
     t0 = time.perf_counter()
-    graph = contract_network(net)
+    hierarchy = CSRHierarchy(contract_network(net))
     prep_ch = time.perf_counter() - t0
     t0 = time.perf_counter()
     index = LandmarkIndex(net, num_landmarks=alt_landmarks)
@@ -141,14 +127,15 @@ def _speedup_report(label, net, num_pairs, seed, alt_landmarks=6):
     via_alt = [alt_path(net, s, t, index).distance for s, t in pairs]
     t_alt = time.perf_counter() - t0
     t0 = time.perf_counter()
-    via_ch = [ch_path(graph, s, t).distance for s, t in pairs]
+    via_ch = [csr_ch_path(hierarchy, s, t).distance for s, t in pairs]
     t_ch = time.perf_counter() - t0
 
     for a, b, c in zip(ref, via_alt, via_ch):
         assert abs(a - b) < 1e-6 and abs(a - c) < 1e-6
     per = num_pairs / 1000.0  # ms per query
     print(
-        f"\n[{label}] nodes={net.num_nodes} shortcuts={graph.num_shortcuts}\n"
+        f"\n[{label}] nodes={net.num_nodes} "
+        f"shortcuts={hierarchy.contracted.num_shortcuts}\n"
         f"  preprocessing: ch={prep_ch:.1f}s alt={prep_alt:.1f}s\n"
         f"  query: dijkstra={t_dij / per:.2f}ms alt={t_alt / per:.2f}ms "
         f"ch={t_ch / per:.2f}ms\n"

@@ -27,7 +27,7 @@ from repro.service.cache import PreprocessingCache, ResultCache
 from repro.service.serving import ServingConfig, ServingStack
 from repro.workloads.queries import hotspot_queries, requests_from_queries
 
-_ENGINE = "ch"
+_ENGINE = "ch-csr"
 _SESSIONS = 5
 _NET = grid_network(25, 25, perturbation=0.1, seed=21)
 _REQUESTS = requests_from_queries(

@@ -12,7 +12,7 @@ Usage (also via ``python -m repro``):
     repro protect city.txt 21 352 --f-s 3 --f-t 3
     repro workload city.txt -o rush.txt --count 40 --kind hotspot
     repro scenario morning-rush city.txt -o traffic.txt --merge-workload rush.txt
-    repro serve-replay city.txt rush.txt --engine ch --repeat 3
+    repro serve-replay city.txt rush.txt --engine ch-csr --repeat 3
     repro serve-replay city.txt traffic.txt --engine overlay-csr
     repro serve-replay city.txt rush.txt --engine overlay-csr --churn-cells-per-min 120
     repro serve-replay city.txt rush.txt --engine ch-csr --coalesce-window 8
@@ -46,6 +46,14 @@ from repro.search import get_engine, list_engines
 from repro.search.result import SearchStats
 
 __all__ = ["main", "build_parser"]
+
+
+def _engine_name(value: str) -> str:
+    """``--engine`` type: an unknown or removed name fails with its replacement."""
+    try:
+        return get_engine(value).name
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("destination", type=int)
     route.add_argument(
         "--engine",
+        type=_engine_name,
         choices=list_engines(),
         default="dijkstra",
         help="search engine (preprocessing engines build their index first)",
@@ -129,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     protect.add_argument("--f-t", type=int, default=3, help="destination set size")
     protect.add_argument(
         "--engine",
+        type=_engine_name,
         choices=list_engines(),
         default="dijkstra",
         help="server-side search engine answering the obfuscated query",
@@ -159,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("workload", help="workload file from 'workload'")
     serve.add_argument(
         "--engine",
+        type=_engine_name,
         choices=list_engines(),
         default="dijkstra",
         help="server-side search engine (preprocessing is cached)",
@@ -320,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gw.add_argument(
         "--engine",
+        type=_engine_name,
         choices=list_engines(),
         default="dijkstra-csr",
         help="server-side search engine in every shard",

@@ -103,7 +103,7 @@ class DirectionsServer:
         :class:`~repro.search.multi.SharedTreeProcessor`).
     engine:
         Name from the :data:`repro.search.ENGINES` registry (e.g.
-        ``"ch"``); resolved to that engine's MSMD processor.  Mutually
+        ``"ch-csr"``); resolved to that engine's MSMD processor.  Mutually
         exclusive with ``processor``.
     paged:
         When ``True`` the map is wrapped in a

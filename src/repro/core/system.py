@@ -103,7 +103,7 @@ class OpaqueSystem:
         Server-side MSMD strategy (default shared-tree).
     engine:
         Search-engine name from :data:`repro.search.ENGINES` (e.g.
-        ``"ch"``), resolved to its MSMD processor.  Mutually exclusive
+        ``"ch-csr"``), resolved to its MSMD processor.  Mutually exclusive
         with ``processor``.
     serving:
         A :class:`~repro.service.serving.ServingStack` over the same

@@ -1,7 +1,8 @@
 """Shortest-path search algorithms and the OPAQUE server-side processors.
 
-Point-to-point searches (Dijkstra, A*, bidirectional Dijkstra, ALT,
-Contraction Hierarchies), the single-source multi-destination (SSMD)
+Point-to-point searches (Dijkstra, A*, ALT, and the flat CSR kernels:
+bidirectional Dijkstra, Contraction Hierarchies, partition overlays),
+the single-source multi-destination (SSMD)
 primitive the paper's server builds on, the multi-source multi-destination
 (MSMD) processors that evaluate obfuscated path queries, and the Lemma 1
 analytic cost model.
@@ -24,7 +25,6 @@ from repro.search.dijkstra import (
     dijkstra_to_many,
 )
 from repro.search.astar import astar_path, euclidean_heuristic
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.multi import (
     MSMDResult,
     MultiSourceMultiDestProcessor,
@@ -32,7 +32,6 @@ from repro.search.multi import (
     SharedTreeProcessor,
     SideSelectingProcessor,
     UnionPassResult,
-    get_processor,
 )
 from repro.search.cost_model import (
     lemma1_cost_estimate,
@@ -44,12 +43,7 @@ from repro.search.alt import (
     alt_path,
     select_landmarks_farthest,
 )
-from repro.search.ch import (
-    CHManyToManyProcessor,
-    ContractedGraph,
-    ch_path,
-    contract_network,
-)
+from repro.search.ch import ContractedGraph, contract_network
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.partition import Partition, partition_network, partition_snapshot
 from repro.search.overlay import (
@@ -57,7 +51,6 @@ from repro.search.overlay import (
     NestedOverlayGraph,
     NestedOverlayProcessor,
     OverlayGraph,
-    OverlayProcessor,
     build_nested_overlay,
     build_overlay,
     nested_overlay_snapshot,
@@ -91,14 +84,12 @@ __all__ = [
     "dijkstra_to_many",
     "astar_path",
     "euclidean_heuristic",
-    "bidirectional_dijkstra_path",
     "MSMDResult",
     "UnionPassResult",
     "MultiSourceMultiDestProcessor",
     "NaivePairwiseProcessor",
     "SharedTreeProcessor",
     "SideSelectingProcessor",
-    "get_processor",
     "lemma1_cost_estimate",
     "point_query_cost_estimate",
     "LandmarkIndex",
@@ -107,8 +98,6 @@ __all__ = [
     "ALTPairwiseProcessor",
     "ContractedGraph",
     "contract_network",
-    "ch_path",
-    "CHManyToManyProcessor",
     "CSRGraph",
     "csr_snapshot",
     "CSRHierarchy",
@@ -126,7 +115,6 @@ __all__ = [
     "OverlayGraph",
     "build_overlay",
     "overlay_snapshot",
-    "OverlayProcessor",
     "CSROverlayProcessor",
     "NestedOverlayGraph",
     "build_nested_overlay",
@@ -188,20 +176,10 @@ def _route_astar(network, source, destination, context=None, stats=None):
     return astar_path(network, source, destination, stats=stats)
 
 
-def _route_bidirectional(network, source, destination, context=None, stats=None):
-    return bidirectional_dijkstra_path(network, source, destination, stats=stats)
-
-
 def _route_alt(network, source, destination, context=None, stats=None):
     if context is None:
         context = LandmarkIndex(network)
     return alt_path(network, source, destination, context, stats=stats)
-
-
-def _route_ch(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = contract_network(network)
-    return ch_path(context, source, destination, stats=stats)
 
 
 def _route_dijkstra_csr(network, source, destination, context=None, stats=None):
@@ -220,33 +198,15 @@ def _route_ch_csr(network, source, destination, context=None, stats=None):
     return csr_ch_path(context, source, destination, stats=stats)
 
 
-def _prepare_overlay(network):
-    return overlay_snapshot(network, kernel="dict")
-
-
-def _prepare_overlay_csr(network):
-    return overlay_snapshot(network, kernel="csr")
-
-
-def _route_overlay(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = overlay_snapshot(network, kernel="dict")
-    return context.route(source, destination, stats=stats)
-
-
 def _route_overlay_csr(network, source, destination, context=None, stats=None):
     if context is None:
-        context = overlay_snapshot(network, kernel="csr")
+        context = overlay_snapshot(network)
     return context.route(source, destination, stats=stats)
-
-
-def _prepare_overlay_nested(network):
-    return nested_overlay_snapshot(network, kernel="csr")
 
 
 def _route_overlay_nested(network, source, destination, context=None, stats=None):
     if context is None:
-        context = nested_overlay_snapshot(network, kernel="csr")
+        context = nested_overlay_snapshot(network)
     return context.route(source, destination, stats=stats)
 
 
@@ -276,25 +236,11 @@ ENGINES: dict[str, SearchEngine] = {
             make_processor=SharedTreeProcessor,
         ),
         SearchEngine(
-            name="bidirectional",
-            description="bidirectional Dijkstra per pair",
-            prepare=lambda network: None,
-            route=_route_bidirectional,
-            make_processor=lambda: NaivePairwiseProcessor(engine="bidirectional"),
-        ),
-        SearchEngine(
             name="alt",
             description="A* with landmark lower bounds (preprocessed)",
             prepare=LandmarkIndex,
             route=_route_alt,
             make_processor=ALTPairwiseProcessor,
-        ),
-        SearchEngine(
-            name="ch",
-            description="Contraction Hierarchies (preprocessed, batch buckets)",
-            prepare=contract_network,
-            route=_route_ch,
-            make_processor=CHManyToManyProcessor,
         ),
         SearchEngine(
             name="dijkstra-csr",
@@ -324,22 +270,12 @@ ENGINES: dict[str, SearchEngine] = {
             make_processor=CSRCHManyToManyProcessor,
         ),
         SearchEngine(
-            name="overlay",
-            description=(
-                "partition + boundary-overlay two-phase queries "
-                "(CRP-style; per-cell recustomization)"
-            ),
-            prepare=_prepare_overlay,
-            route=_route_overlay,
-            make_processor=OverlayProcessor,
-        ),
-        SearchEngine(
             name="overlay-csr",
             description=(
                 "partition overlay with flat per-cell CSR kernels "
                 "(preprocessed, per-cell recustomization)"
             ),
-            prepare=_prepare_overlay_csr,
+            prepare=overlay_snapshot,
             route=_route_overlay_csr,
             make_processor=CSROverlayProcessor,
         ),
@@ -349,7 +285,7 @@ ENGINES: dict[str, SearchEngine] = {
                 "two-level nested partition overlay "
                 "(boundary-of-boundary sweeps, per-supercell recustomization)"
             ),
-            prepare=_prepare_overlay_nested,
+            prepare=nested_overlay_snapshot,
             route=_route_overlay_nested,
             make_processor=NestedOverlayProcessor,
         ),
@@ -372,17 +308,31 @@ if numpy_available():
     )
 
 
+#: removed dict-kernel engines -> the CSR engine that replaced each
+_REPLACED_ENGINES = {
+    "bidirectional": "bidirectional-csr",
+    "ch": "ch-csr",
+    "overlay": "overlay-csr",
+}
+
+
 def get_engine(name: str) -> SearchEngine:
     """Look up a registered engine by name.
 
     Raises
     ------
     KeyError
-        For unknown names; the message lists the valid ones.
+        For unknown names; the message lists the valid ones, and names
+        the replacement of a removed engine.
     """
     try:
         return ENGINES[name]
     except KeyError:
+        replacement = _REPLACED_ENGINES.get(name)
+        if replacement is not None:
+            raise KeyError(
+                f"engine {name!r} was removed; use {replacement!r}"
+            ) from None
         valid = ", ".join(sorted(ENGINES))
         raise KeyError(f"unknown engine {name!r}; valid: {valid}") from None
 

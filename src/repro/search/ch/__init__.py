@@ -1,17 +1,19 @@
 """Contraction Hierarchies: preprocessing-based search engine subsystem.
 
-The four modules mirror the lifecycle of a CH deployment:
+The modules mirror the lifecycle of a CH deployment:
 
 * :mod:`~repro.search.ch.contract` — one-time preprocessing producing an
   immutable :class:`ContractedGraph` (node ordering, witness searches,
   shortcut insertion);
-* :mod:`~repro.search.ch.query` — bidirectional upward point-to-point
-  queries with stall-on-demand and shortcut unpacking;
-* :mod:`~repro.search.ch.manytomany` — the bucket-based batch algorithm
-  answering a full |S| x |T| obfuscated query in one pass, exposed as the
-  ``"ch"`` MSMD processor;
+* :mod:`~repro.search.ch.query` — shortcut unpacking back into original
+  network nodes;
 * :mod:`~repro.search.ch.persist` — save/load of contracted graphs so a
   server pays preprocessing once per road network.
+
+The queries themselves run on the flat arrays of
+:class:`repro.search.kernels.CSRHierarchy` (the ``"ch-csr"`` engine):
+bidirectional upward point queries with stall-on-demand and the
+bucket-based many-to-many batch algorithm.
 """
 
 from repro.search.ch.contract import (
@@ -19,8 +21,7 @@ from repro.search.ch.contract import (
     ContractionStats,
     contract_network,
 )
-from repro.search.ch.query import ch_distance, ch_path, unpack_path
-from repro.search.ch.manytomany import CHManyToManyProcessor, ch_many_to_many
+from repro.search.ch.query import unpack_path
 from repro.search.ch.persist import (
     dumps_contracted,
     loads_contracted,
@@ -32,11 +33,7 @@ __all__ = [
     "ContractedGraph",
     "ContractionStats",
     "contract_network",
-    "ch_path",
-    "ch_distance",
     "unpack_path",
-    "ch_many_to_many",
-    "CHManyToManyProcessor",
     "read_contracted",
     "write_contracted",
     "dumps_contracted",

@@ -1,267 +1,20 @@
-"""Point-to-point queries over a contracted graph.
+"""Shortcut unpacking for paths over a contracted graph.
 
-A CH query is a bidirectional Dijkstra restricted to *upward* edges: the
-forward search from ``s`` only relaxes overlay edges leading to
-higher-ranked nodes, the backward search from ``t`` only traverses (in
-reverse) overlay edges arriving from higher-ranked nodes.  Every shortest
-path in the original network corresponds to an up-down path in the overlay
-meeting at its highest-ranked node, so the two cones intersect at the true
-distance while settling a tiny fraction of the network.
-
-Two refinements from the CH literature are implemented:
-
-* **stall-on-demand** — a settled node whose label is beaten by an
-  incoming edge from a higher-ranked settled node cannot lie on a shortest
-  up-down path; its out-edges are not relaxed (it still participates in
-  the meeting-point bookkeeping, which is safe because its label is an
-  upper bound);
-* **recursive shortcut unpacking** — result paths are expanded back into
-  original network edges via each shortcut's recorded middle node, so
-  callers receive the same :class:`~repro.search.result.PathResult` the
-  Dijkstra-family engines produce.
-
-Cost accounting: settled nodes, relaxed edges and heap pushes go to the
-same :class:`~repro.search.result.SearchStats` contract as every other
-engine, so the Lemma 1 comparisons in :mod:`repro.search.cost_model` and
-experiment E2/E9 tables can quote CH settled-node counts directly.  On
-planar grids a CH query typically settles ``O(sqrt(n))``-ish nodes versus
-Lemma 1's ``O(||s,t||^2)`` disc for plain Dijkstra.
+The CH query kernels (:func:`repro.search.kernels.csr_ch_path` and
+:func:`repro.search.kernels.csr_ch_many_to_many`) search the overlay of
+original edges plus shortcuts; :func:`unpack_path` expands such an
+overlay path back into original network nodes via each shortcut's
+recorded middle node, so callers receive the same
+:class:`~repro.search.result.PathResult` node sequences the
+Dijkstra-family engines produce.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
-from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.graph import NodeId
-from repro.obs import record as _obs_record
 from repro.search.ch.contract import ContractedGraph
-from repro.search.result import PathResult, SearchStats
 
-__all__ = ["ch_path", "ch_distance", "unpack_path"]
-
-_INF = float("inf")
-
-
-def _overlay_route(
-    meeting: NodeId,
-    source: NodeId,
-    destination: NodeId,
-    fwd_pred: dict[NodeId, NodeId],
-    bwd_pred: dict[NodeId, NodeId],
-) -> list[NodeId]:
-    """Overlay-edge path ``source .. meeting .. destination``.
-
-    Walks the forward predecessor tree back to ``source`` and the backward
-    tree on to ``destination``; shared by the point-to-point query and the
-    many-to-many table reconstruction.
-    """
-    overlay: list[NodeId] = [meeting]
-    node = meeting
-    while node != source:
-        node = fwd_pred[node]
-        overlay.append(node)
-    overlay.reverse()
-    node = meeting
-    while node != destination:
-        node = bwd_pred[node]
-        overlay.append(node)
-    return overlay
-
-
-def _upward_sweep(
-    graph: ContractedGraph,
-    start: NodeId,
-    forward: bool,
-    stats: SearchStats,
-    stall: bool = True,
-) -> tuple[dict[NodeId, float], dict[NodeId, NodeId], set[NodeId]]:
-    """Exhaustive upward search from ``start``.
-
-    Returns ``(distances, predecessors, stalled)`` over the whole upward
-    search space (used by the many-to-many buckets; the point-to-point
-    query below interleaves two bounded sweeps instead).  Runs on a lazy
-    ``heapq`` frontier — the hot loop of every CH operation.
-    """
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        base = (stats.settled_nodes, stats.relaxed_edges, stats.heap_pushes)
-    relax_adj = graph._up_out if forward else graph._up_in
-    against_adj = graph._up_in if forward else graph._up_out
-    dist: dict[NodeId, float] = {start: 0.0}
-    pred: dict[NodeId, NodeId] = {}
-    settled: dict[NodeId, float] = {}
-    stalled: set[NodeId] = set()
-    counter = 1
-    heap: list[tuple[float, int, NodeId]] = [(0.0, 0, start)]
-    stats.heap_pushes += 1
-    max_d = stats.max_settled_distance
-    while heap:
-        d, _, node = heappop(heap)
-        if node in settled:
-            continue
-        settled[node] = d
-        stats.settled_nodes += 1
-        if d > max_d:
-            max_d = d
-        if stall:
-            is_stalled = False
-            for higher, w in against_adj[node].items():
-                hd = settled.get(higher)
-                if hd is not None and hd + w < d:
-                    is_stalled = True
-                    break
-            if is_stalled:
-                stalled.add(node)
-                continue
-        for nbr, w in relax_adj[node].items():
-            if nbr in settled:
-                continue
-            stats.relaxed_edges += 1
-            nd = d + w
-            if nd < dist.get(nbr, _INF):
-                dist[nbr] = nd
-                pred[nbr] = node
-                heappush(heap, (nd, counter, nbr))
-                counter += 1
-                stats.heap_pushes += 1
-    stats.max_settled_distance = max_d
-    if rec is not None:
-        rec.record(
-            "ch_upward",
-            stats.settled_nodes - base[0],
-            stats.relaxed_edges - base[1],
-            stats.heap_pushes - base[2],
-        )
-    return settled, pred, stalled
-
-
-def ch_path(
-    graph: ContractedGraph,
-    source: NodeId,
-    destination: NodeId,
-    stats: SearchStats | None = None,
-) -> PathResult:
-    """Shortest path between two nodes of a contracted network.
-
-    Same contract as :func:`repro.search.dijkstra.dijkstra_path`: returns
-    a :class:`PathResult` whose ``nodes`` are original network nodes
-    (shortcuts fully unpacked).
-
-    Raises
-    ------
-    UnknownNodeError
-        If either endpoint is not part of the contracted graph.
-    NoPathError
-        If ``destination`` is unreachable from ``source``.
-    """
-    if source not in graph:
-        raise UnknownNodeError(source)
-    if destination not in graph:
-        raise UnknownNodeError(destination)
-    if stats is None:
-        stats = SearchStats()
-    if source == destination:
-        return PathResult(source, destination, (source,), 0.0)
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        base = (stats.settled_nodes, stats.relaxed_edges, stats.heap_pushes)
-
-    relaxers = (graph._up_out, graph._up_in)
-    stallers = (graph._up_in, graph._up_out)
-    dist: list[dict[NodeId, float]] = [{source: 0.0}, {destination: 0.0}]
-    pred: list[dict[NodeId, NodeId]] = [{}, {}]
-    settled: list[dict[NodeId, float]] = [{}, {}]
-    heaps: list[list[tuple[float, int, NodeId]]] = [
-        [(0.0, 0, source)],
-        [(0.0, 0, destination)],
-    ]
-    counter = 1
-    stats.heap_pushes += 2
-
-    best = _INF
-    meeting: NodeId | None = None
-
-    while True:
-        # Drain lazily deleted entries, then pick the smaller frontier.
-        for heap, done in zip(heaps, settled):
-            while heap and heap[0][2] in done:
-                heappop(heap)
-        min0 = heaps[0][0][0] if heaps[0] else _INF
-        min1 = heaps[1][0][0] if heaps[1] else _INF
-        if min0 < best and (min0 <= min1 or min1 >= best):
-            side = 0
-        elif min1 < best:
-            side = 1
-        else:
-            break
-        d, _, node = heappop(heaps[side])
-        my_settled = settled[side]
-        my_settled[node] = d
-        stats.settled_nodes += 1
-        if d > stats.max_settled_distance:
-            stats.max_settled_distance = d
-
-        other_d = settled[1 - side].get(node)
-        if other_d is None:
-            other_d = dist[1 - side].get(node)
-        if other_d is not None and d + other_d < best:
-            best = d + other_d
-            meeting = node
-
-        # Stall-on-demand: a label beaten via a higher-ranked settled node
-        # cannot extend to a shortest up-down path.
-        is_stalled = False
-        for higher, w in stallers[side][node].items():
-            hd = my_settled.get(higher)
-            if hd is not None and hd + w < d:
-                is_stalled = True
-                break
-        if is_stalled:
-            continue
-
-        my_dist = dist[side]
-        my_pred = pred[side]
-        my_heap = heaps[side]
-        for nbr, w in relaxers[side][node].items():
-            if nbr in my_settled:
-                continue
-            stats.relaxed_edges += 1
-            nd = d + w
-            if nd < my_dist.get(nbr, _INF):
-                my_dist[nbr] = nd
-                my_pred[nbr] = node
-                heappush(my_heap, (nd, counter, nbr))
-                counter += 1
-                stats.heap_pushes += 1
-
-    if rec is not None:
-        rec.record(
-            "ch_query",
-            stats.settled_nodes - base[0],
-            stats.relaxed_edges - base[1],
-            stats.heap_pushes - base[2],
-        )
-    if meeting is None:
-        raise NoPathError(source, destination)
-
-    overlay = _overlay_route(meeting, source, destination, pred[0], pred[1])
-    return PathResult(
-        source=source,
-        destination=destination,
-        nodes=tuple(unpack_path(graph, overlay)),
-        distance=best,
-    )
-
-
-def ch_distance(
-    graph: ContractedGraph,
-    source: NodeId,
-    destination: NodeId,
-    stats: SearchStats | None = None,
-) -> float:
-    """Shortest distance only (still runs the full bidirectional query)."""
-    return ch_path(graph, source, destination, stats=stats).distance
+__all__ = ["unpack_path"]
 
 
 def unpack_path(graph: ContractedGraph, overlay_nodes: list[NodeId]) -> list[NodeId]:

@@ -1,8 +1,7 @@
 """Index-space search kernels over flat CSR arrays.
 
-The dict-based engines (:mod:`repro.search.dijkstra`,
-:mod:`repro.search.bidirectional`, :mod:`repro.search.ch.query`) spend
-most of their time hashing node ids and unpacking ``dict.items()``
+The dict-based reference engine (:mod:`repro.search.dijkstra`) spends
+most of its time hashing node ids and unpacking ``dict.items()``
 tuples.  The kernels here run the same algorithms over a
 :class:`~repro.network.csr.CSRGraph` snapshot — integer node indices,
 contiguous ``offsets``/``targets``/``weights`` arrays, ``heapq``
@@ -708,7 +707,7 @@ def csr_bidirectional_path(
     The backward frontier expands over the snapshot's reverse CSR view
     (aliasing the forward arrays on undirected networks), with the
     classic ``min_f + min_b >= best`` stopping rule — same distances as
-    :func:`repro.search.bidirectional.bidirectional_dijkstra_path`.
+    :func:`repro.search.dijkstra.dijkstra_path`.
     """
     if csr is None:
         csr = csr_snapshot(network)
@@ -899,10 +898,9 @@ class CSRHierarchy:
 def ch_csr_hierarchy(network, witness_settled_limit: int = 500) -> CSRHierarchy:
     """Contract ``network`` and freeze the overlay into a :class:`CSRHierarchy`.
 
-    The ``"ch-csr"`` engine's ``prepare`` hook: contraction cost is
-    identical to the ``"ch"`` engine (same
-    :func:`~repro.search.ch.contract.contract_network` run); the extra
-    flattening pass is linear in overlay size.
+    The ``"ch-csr"`` engine's ``prepare`` hook: one
+    :func:`~repro.search.ch.contract.contract_network` run plus a
+    flattening pass linear in overlay size.
     """
     return CSRHierarchy(
         contract_network(network, witness_settled_limit=witness_settled_limit)
@@ -917,8 +915,23 @@ def csr_ch_path(
 ) -> PathResult:
     """CH point query on flat arrays (stall-on-demand, full unpacking).
 
-    Same distances and path contract as
-    :func:`repro.search.ch.query.ch_path`.
+    A bidirectional Dijkstra restricted to *upward* edges: the forward
+    search from ``source`` only relaxes edges to higher-ranked nodes,
+    the backward search from ``destination`` only traverses (in
+    reverse) edges arriving from higher-ranked nodes, and every
+    shortest path meets at its highest-ranked node.  A settled node
+    whose label is beaten by an edge from a higher-ranked settled node
+    is *stalled* (its edges are not relaxed).  Same distances and path
+    contract as :func:`repro.search.dijkstra.dijkstra_path`: the
+    result's ``nodes`` are original network nodes (shortcuts unpacked
+    by :func:`repro.search.ch.query.unpack_path`).
+
+    Raises
+    ------
+    UnknownNodeError
+        If either endpoint is not part of the hierarchy.
+    NoPathError
+        If ``destination`` is unreachable from ``source``.
     """
     s = hierarchy.index(source)
     t = hierarchy.index(destination)
@@ -1051,8 +1064,7 @@ def _csr_upward_sweep(
 ) -> tuple[dict[int, float], dict[int, int], set[int]]:
     """Exhaustive upward sweep in index space (the many-to-many primitive).
 
-    Mirrors :func:`repro.search.ch.query._upward_sweep`; returns
-    ``(settled {idx: dist}, predecessors {idx: idx}, stalled idx set)``
+    Returns ``(settled {idx: dist}, predecessors {idx: idx}, stalled idx set)``
     as small dicts so results survive scratch reuse by later sweeps.
     """
     if forward:
@@ -1143,12 +1155,16 @@ def csr_ch_many_to_many(
     destinations: Sequence[NodeId],
     stats: SearchStats | None = None,
 ) -> dict[tuple[NodeId, NodeId], PathResult]:
-    """Bucket-based many-to-many CH on flat arrays.
+    """Bucket-based many-to-many CH on flat arrays (Knopp et al., 2007).
 
-    Same contract (and distances) as
-    :func:`repro.search.ch.manytomany.ch_many_to_many`: one backward
-    sweep per destination fills buckets, one forward sweep per source
-    scans them; unreachable pairs are omitted.
+    One backward upward sweep per destination drops an entry into the
+    *bucket* of every node it settles; one forward upward sweep per
+    source scans the bucket of every node it settles, minimizing
+    ``d_f(s, v) + d_b(v, t)`` per pair.  The full ``|S| x |T|`` table
+    costs ``|S| + |T|`` sweeps plus bucket scans.  Stalled nodes stay
+    out of the buckets (a stalled label is never on a shortest up-down
+    path).  Returns ``{(s, t): PathResult}`` with unreachable pairs
+    omitted.
     """
     if stats is None:
         stats = SearchStats()
@@ -1217,7 +1233,7 @@ def csr_ch_many_to_many(
 
 
 # ----------------------------------------------------------------------
-# MSMD processors (registered in repro.search.multi.get_processor)
+# MSMD processors (registered in repro.search.ENGINES)
 # ----------------------------------------------------------------------
 class CSRSharedTreeProcessor(PreprocessingProcessor):
     """The paper's shared SSMD trees on the CSR kernel (``"dijkstra-csr"``).
@@ -1317,9 +1333,7 @@ class CSRBidirectionalPairwiseProcessor(PreprocessingProcessor):
 class CSRCHManyToManyProcessor(PreprocessingProcessor):
     """Bucket many-to-many over a :class:`CSRHierarchy` (``"ch-csr"``).
 
-    Matches :class:`~repro.search.ch.manytomany.CHManyToManyProcessor`
-    semantics: an unreachable pair raises
-    :class:`~repro.exceptions.NoPathError`.
+    An unreachable pair raises :class:`~repro.exceptions.NoPathError`.
     """
 
     name = "ch-csr"
@@ -1359,12 +1373,15 @@ class CSRCHManyToManyProcessor(PreprocessingProcessor):
         return result
 
     def process_union(self, network, set_queries) -> UnionPassResult:
-        """One flat bucket pass over the unions of all coalesced queries.
+        """One bucket pass over the unions of all coalesced queries.
 
-        Same sharing argument as
-        :meth:`repro.search.ch.manytomany.CHManyToManyProcessor.process_union`
-        (sweeps are per-endpoint, pair minimization is independent), run
-        on the :class:`CSRHierarchy` kernels.
+        The backward sweep from a destination and the forward sweep from
+        a source are both independent of the rest of the query, so one
+        sweep per *distinct* endpoint across every coalesced query
+        answers them all: ``|union S| + |union T|`` sweeps instead of
+        ``sum (|S_i| + |T_i|)``.  Per-pair minimization over the buckets
+        is also pairwise-independent, so each sliced table is
+        bit-identical to evaluating its query alone.
         """
         hierarchy = self.hierarchy_for(network)
         checked = _screen_union_queries(hierarchy, set_queries)

@@ -28,8 +28,9 @@ arcs compose to the same distances, which keeps the overlay sparse);
 cut arcs are the original edges.  Queries on the overlay therefore
 return the same distances as plain Dijkstra, on directed and
 disconnected networks alike, which the engine-conformance harness
-checks for the registered ``"overlay"`` (dict cell searches) and
-``"overlay-csr"`` (flat per-cell CSR kernels) engines.
+checks for the registered ``"overlay-csr"`` and ``"overlay-nested"``
+engines.  Cell searches run on flat per-cell CSR snapshots with the
+pooled index-space kernels.
 
 **Goal direction.**  Customization checks once whether every edge
 weight is at least its endpoints' straight-line distance
@@ -67,7 +68,6 @@ from repro.network.partition import (
     partition_snapshot,
 )
 from repro.obs import record as _obs_record
-from repro.search.dijkstra import dijkstra_to_many
 from repro.search.kernels import (
     csr_dijkstra_to_many,
     nested_overlay_sweep,
@@ -88,7 +88,6 @@ __all__ = [
     "build_nested_overlay",
     "overlay_snapshot",
     "nested_overlay_snapshot",
-    "OverlayProcessor",
     "CSROverlayProcessor",
     "NestedOverlayProcessor",
     "write_overlay",
@@ -98,36 +97,26 @@ __all__ = [
 ]
 
 _INF = float("inf")
-_KERNELS = ("dict", "csr")
+#: the cell kernel every overlay runs on; the text and blob formats
+#: still carry it in their header, and a reader rejects any other name
+#: instead of misreading a file written for a kernel that no longer exists
+_KERNEL = "csr"
 
 
 class _CellView:
     """Induced-subgraph read view of one cell (no copying).
 
     Exposes the subset of the :class:`~repro.network.graph.RoadNetwork`
-    read interface the Dijkstra variants and
-    :meth:`~repro.network.csr.CSRGraph.from_network` use, restricted to
-    the cell's members.  With ``reverse=True`` on a directed network the
-    view serves the reversed intra-cell adjacency (for backward local
-    searches); on undirected networks the reverse view is the view.
+    read interface :meth:`~repro.network.csr.CSRGraph.from_network`
+    uses, restricted to the cell's members.
     """
 
-    __slots__ = ("_network", "_order", "_members", "_radj")
+    __slots__ = ("_network", "_order", "_members")
 
-    def __init__(self, network, members: Sequence[NodeId], reverse: bool = False):
+    def __init__(self, network, members: Sequence[NodeId]):
         self._network = network
         self._order = tuple(members)
         self._members = frozenset(members)
-        self._radj: dict[NodeId, dict[NodeId, float]] | None = None
-        if reverse and getattr(network, "directed", False):
-            radj: dict[NodeId, dict[NodeId, float]] = {
-                node: {} for node in self._order
-            }
-            for u in self._order:
-                for v, w in network.neighbors(u).items():
-                    if v in self._members:
-                        radj[v][u] = w
-            self._radj = radj
 
     @property
     def directed(self) -> bool:
@@ -155,8 +144,6 @@ class _CellView:
 
     def neighbors(self, node: NodeId) -> dict[NodeId, float]:
         """Intra-cell adjacency of ``node`` (filtered per call)."""
-        if self._radj is not None:
-            return self._radj[node]
         return {
             v: w
             for v, w in self._network.neighbors(node).items()
@@ -205,9 +192,6 @@ class OverlayGraph:
     ----------
     network, partition:
         The backing network and its (weight-independent) partition.
-    kernel:
-        ``"dict"`` (reference cell searches over live views) or
-        ``"csr"`` (flat per-cell CSR kernels — the fast path).
     cliques:
         ``cliques[c][b][b2]`` is the intra-cell shortest
         :class:`~repro.search.result.PathResult` from boundary node
@@ -233,7 +217,6 @@ class OverlayGraph:
         "__weakref__",
         "network",
         "partition",
-        "kernel",
         "cliques",
         "_cell_csr",
         "_cell_rcsr",
@@ -256,7 +239,6 @@ class OverlayGraph:
         self,
         network,
         partition: Partition,
-        kernel: str,
         cliques: list[dict],
         cell_csr: list,
         cell_rcsr: list,
@@ -267,7 +249,6 @@ class OverlayGraph:
     ) -> None:
         self.network = network
         self.partition = partition
-        self.kernel = kernel
         self.cliques = cliques
         self._cell_csr = cell_csr
         self._cell_rcsr = cell_rcsr
@@ -294,7 +275,6 @@ class OverlayGraph:
         network,
         partition: Partition | None = None,
         cell_capacity: int | None = None,
-        kernel: str = "dict",
         parallel: int | None = None,
         customizer=None,
         **extra,
@@ -323,11 +303,8 @@ class OverlayGraph:
         Raises
         ------
         GraphError
-            For an unknown ``kernel``, or (parallel path) non-integer
-            node ids.
+            For non-integer node ids (parallel path only).
         """
-        if kernel not in _KERNELS:
-            raise GraphError(f"unknown overlay kernel {kernel!r}")
         if partition is None:
             partition = partition_snapshot(network, cell_capacity)
         owned = None
@@ -343,13 +320,13 @@ class OverlayGraph:
             computed = None
             if customizer is not None and partition.num_cells > 1:
                 computed = customizer.customize(
-                    network, partition, kernel, range(partition.num_cells),
+                    network, partition, range(partition.num_cells),
                     stats, changed_edges=None,
                 )
             elif customizer is not None:
                 customizer.note_changes(network, None)
             for cell in range(partition.num_cells):
-                fcsr, rcsr = cls._cell_graphs(network, partition, cell, kernel)
+                fcsr, rcsr = cls._cell_graphs(network, partition, cell)
                 cell_csr.append(fcsr)
                 cell_rcsr.append(rcsr)
                 if computed is not None:
@@ -357,11 +334,11 @@ class OverlayGraph:
                 else:
                     cliques.append(
                         cls._customize_cell(
-                            network, partition, cell, kernel, fcsr, stats
+                            network, partition, cell, fcsr, stats
                         )
                     )
             overlay = cls(
-                network, partition, kernel, cliques, cell_csr, cell_rcsr,
+                network, partition, cliques, cell_csr, cell_rcsr,
                 stats, partition.num_cells, _customizer=customizer, **extra,
             )
         finally:
@@ -373,17 +350,15 @@ class OverlayGraph:
         return overlay
 
     @staticmethod
-    def _cell_graphs(network, partition: Partition, cell: int, kernel: str):
-        """Per-cell CSR snapshots (forward, reversed) for the csr kernel."""
-        if kernel != "csr":
-            return None, None
+    def _cell_graphs(network, partition: Partition, cell: int):
+        """Per-cell CSR snapshots (forward, reversed)."""
         view = _CellView(network, partition.cells[cell])
         fcsr = CSRGraph.from_network(view)
         return fcsr, _reversed_csr(fcsr)
 
     @staticmethod
     def _customize_cell(
-        network, partition: Partition, cell: int, kernel: str, fcsr, stats
+        network, partition: Partition, cell: int, fcsr, stats
     ) -> dict:
         """Compute one cell's pruned boundary clique.
 
@@ -396,19 +371,11 @@ class OverlayGraph:
         """
         boundary = partition.boundary[cell]
         bset = frozenset(boundary)
-        view = None
-        if kernel != "csr":
-            view = _CellView(network, partition.cells[cell])
         clique: dict[NodeId, dict[NodeId, PathResult]] = {}
         for b in boundary:
-            if kernel == "csr":
-                trees = csr_dijkstra_to_many(
-                    network, b, boundary, csr=fcsr, stats=stats, strict=False
-                )
-            else:
-                trees = dijkstra_to_many(
-                    view, b, boundary, stats=stats, strict=False
-                )
+            trees = csr_dijkstra_to_many(
+                network, b, boundary, csr=fcsr, stats=stats, strict=False
+            )
             kept: dict[NodeId, PathResult] = {}
             for b2 in boundary:
                 if b2 == b:
@@ -560,18 +527,16 @@ class OverlayGraph:
                 # even when this refresh is handled serially.
                 customizer.note_changes(network, changed_edges)
             for cell in work:
-                fcsr, rcsr = self._cell_graphs(
-                    network, partition, cell, self.kernel
-                )
+                fcsr, rcsr = self._cell_graphs(network, partition, cell)
                 cell_csr[cell] = fcsr
                 cell_rcsr[cell] = rcsr
                 if not use_pool:
                     cliques[cell] = self._customize_cell(
-                        network, partition, cell, self.kernel, fcsr, stats
+                        network, partition, cell, fcsr, stats
                     )
             if use_pool:
                 computed = customizer.customize(
-                    network, partition, self.kernel, work, stats,
+                    network, partition, work, stats,
                     changed_edges=changed_edges,
                 )
                 for cell in work:
@@ -605,7 +570,7 @@ class OverlayGraph:
         pool when one is live for this refresh.
         """
         return type(self)(
-            network, self.partition, self.kernel, cliques, cell_csr,
+            network, self.partition, cliques, cell_csr,
             cell_rcsr, stats, len(touched), metric=metric,
         )
 
@@ -673,7 +638,7 @@ class OverlayGraph:
 
     def __repr__(self) -> str:
         return (
-            f"OverlayGraph(kernel={self.kernel!r}, cells={self.num_cells}, "
+            f"OverlayGraph(cells={self.num_cells}, "
             f"boundary={self.num_boundary_nodes}, "
             f"clique_arcs={self.num_clique_arcs}, "
             f"cut_arcs={self.num_cut_arcs})"
@@ -688,31 +653,19 @@ class OverlayGraph:
         """Intra-cell paths from ``source`` to the cell's boundary (+extras)."""
         targets: list[NodeId] = list(self.partition.boundary[cell])
         targets.extend(extra)
-        if self.kernel == "csr":
-            return csr_dijkstra_to_many(
-                self.network, source, targets,
-                csr=self._cell_csr[cell], stats=stats, strict=False,
-            )
-        view = _CellView(self.network, self.partition.cells[cell])
-        return dijkstra_to_many(view, source, targets, stats=stats, strict=False)
+        return csr_dijkstra_to_many(
+            self.network, source, targets,
+            csr=self._cell_csr[cell], stats=stats, strict=False,
+        )
 
     def _local_backward(
         self, cell: int, destination: NodeId, stats: SearchStats
     ) -> dict[NodeId, PathResult]:
         """Intra-cell paths from the cell's boundary *to* ``destination``."""
-        boundary = self.partition.boundary[cell]
-        if self.kernel == "csr":
-            trees = csr_dijkstra_to_many(
-                self.network, destination, boundary,
-                csr=self._cell_rcsr[cell], stats=stats, strict=False,
-            )
-        else:
-            view = _CellView(
-                self.network, self.partition.cells[cell], reverse=True
-            )
-            trees = dijkstra_to_many(
-                view, destination, boundary, stats=stats, strict=False
-            )
+        trees = csr_dijkstra_to_many(
+            self.network, destination, self.partition.boundary[cell],
+            csr=self._cell_rcsr[cell], stats=stats, strict=False,
+        )
         return {b: _flip(path) for b, path in trees.items()}
 
     def route(
@@ -940,7 +893,6 @@ def build_overlay(
     network,
     partition: Partition | None = None,
     cell_capacity: int | None = None,
-    kernel: str = "dict",
     parallel: int | None = None,
     customizer=None,
 ) -> OverlayGraph:
@@ -952,7 +904,7 @@ def build_overlay(
     """
     return OverlayGraph.build(
         network, partition=partition, cell_capacity=cell_capacity,
-        kernel=kernel, parallel=parallel, customizer=customizer,
+        parallel=parallel, customizer=customizer,
     )
 
 
@@ -1110,7 +1062,6 @@ class NestedOverlayGraph(OverlayGraph):
         self,
         network,
         partition: Partition,
-        kernel: str,
         cliques: list[dict],
         cell_csr: list,
         cell_rcsr: list,
@@ -1126,7 +1077,7 @@ class NestedOverlayGraph(OverlayGraph):
         self.super_capacity = super_capacity
         self._reuse = _reuse
         super().__init__(
-            network, partition, kernel, cliques, cell_csr, cell_rcsr,
+            network, partition, cliques, cell_csr, cell_rcsr,
             customize_stats, customized_cells, metric=metric,
             _customizer=_customizer,
         )
@@ -1297,7 +1248,7 @@ class NestedOverlayGraph(OverlayGraph):
     ) -> "NestedOverlayGraph":
         """Recustomized copy sharing unaffected supercell tables."""
         return type(self)(
-            network, self.partition, self.kernel, cliques, cell_csr,
+            network, self.partition, cliques, cell_csr,
             cell_rcsr, stats, len(touched), metric=metric,
             super_capacity=self.super_capacity,
             _reuse=(self, self._affected_supercells(touched, changed_edges)),
@@ -1352,8 +1303,7 @@ class NestedOverlayGraph(OverlayGraph):
 
     def __repr__(self) -> str:
         return (
-            f"NestedOverlayGraph(kernel={self.kernel!r}, "
-            f"cells={self.num_cells}, boundary={self.num_boundary_nodes}, "
+            f"NestedOverlayGraph(cells={self.num_cells}, boundary={self.num_boundary_nodes}, "
             f"supercells={self.num_supercells}, "
             f"super_boundary={self.num_super_boundary_nodes}, "
             f"top_arcs={self.num_top_arcs})"
@@ -1553,7 +1503,6 @@ def build_nested_overlay(
     network,
     partition: Partition | None = None,
     cell_capacity: int | None = None,
-    kernel: str = "csr",
     super_capacity: int | None = None,
     parallel: int | None = None,
     customizer=None,
@@ -1568,14 +1517,13 @@ def build_nested_overlay(
         network,
         partition=partition,
         cell_capacity=cell_capacity,
-        kernel=kernel,
         super_capacity=super_capacity,
         parallel=parallel,
         customizer=customizer,
     )
 
 
-# Per-network memo: network -> (version, {(kernel, capacity): weakref}).
+# Per-network memo: network -> (version, {key: weakref}).
 # The overlays are held *weakly*: an OverlayGraph strongly references its
 # network, so a strong global cache would pin every network (and its
 # overlay) for process lifetime — the classic WeakKeyDictionary
@@ -1588,7 +1536,6 @@ _OVERLAY_LOCK = threading.Lock()
 
 def overlay_snapshot(
     network,
-    kernel: str = "dict",
     cell_capacity: int | None = None,
 ) -> OverlayGraph:
     """The (memoized) :class:`OverlayGraph` of ``network``.
@@ -1605,8 +1552,8 @@ def overlay_snapshot(
 
     version = getattr(network, "version", None)
     if version is None:
-        return build_overlay(network, cell_capacity=cell_capacity, kernel=kernel)
-    key = (kernel, cell_capacity)
+        return build_overlay(network, cell_capacity=cell_capacity)
+    key = ("flat", cell_capacity)
     with _OVERLAY_LOCK:
         memo = _OVERLAYS.get(network)
         if memo is not None and memo[0] == version:
@@ -1614,7 +1561,7 @@ def overlay_snapshot(
             overlay = ref() if ref is not None else None
             if overlay is not None:
                 return overlay
-    overlay = build_overlay(network, cell_capacity=cell_capacity, kernel=kernel)
+    overlay = build_overlay(network, cell_capacity=cell_capacity)
     with _OVERLAY_LOCK:
         memo = _OVERLAYS.get(network)
         if memo is None or memo[0] != version:
@@ -1626,7 +1573,6 @@ def overlay_snapshot(
 
 def nested_overlay_snapshot(
     network,
-    kernel: str = "csr",
     cell_capacity: int | None = None,
     super_capacity: int | None = None,
 ) -> NestedOverlayGraph:
@@ -1642,10 +1588,10 @@ def nested_overlay_snapshot(
     version = getattr(network, "version", None)
     if version is None:
         return build_nested_overlay(
-            network, cell_capacity=cell_capacity, kernel=kernel,
+            network, cell_capacity=cell_capacity,
             super_capacity=super_capacity,
         )
-    key = ("nested", kernel, cell_capacity, super_capacity)
+    key = ("nested", cell_capacity, super_capacity)
     with _OVERLAY_LOCK:
         memo = _OVERLAYS.get(network)
         if memo is not None and memo[0] == version:
@@ -1654,7 +1600,7 @@ def nested_overlay_snapshot(
             if overlay is not None:
                 return overlay
     overlay = build_nested_overlay(
-        network, cell_capacity=cell_capacity, kernel=kernel,
+        network, cell_capacity=cell_capacity,
         super_capacity=super_capacity,
     )
     with _OVERLAY_LOCK:
@@ -1667,10 +1613,10 @@ def nested_overlay_snapshot(
 
 
 # ----------------------------------------------------------------------
-# MSMD processors (registered in repro.search.multi.get_processor)
+# MSMD processors (registered in repro.search.ENGINES)
 # ----------------------------------------------------------------------
-class OverlayProcessor(PreprocessingProcessor):
-    """Partition-overlay MSMD processor (``"overlay"``).
+class CSROverlayProcessor(PreprocessingProcessor):
+    """Partition-overlay MSMD processor (``"overlay-csr"``).
 
     The per-network artifact is the customized :class:`OverlayGraph`
     (built once, shared via the serving layer's
@@ -1679,8 +1625,7 @@ class OverlayProcessor(PreprocessingProcessor):
     :class:`~repro.exceptions.NoPathError`.
     """
 
-    name = "overlay"
-    _kernel = "dict"
+    name = "overlay-csr"
 
     def __init__(
         self,
@@ -1691,9 +1636,7 @@ class OverlayProcessor(PreprocessingProcessor):
         self._cell_capacity = cell_capacity
 
     def _build(self, network) -> OverlayGraph:
-        return overlay_snapshot(
-            network, kernel=self._kernel, cell_capacity=self._cell_capacity
-        )
+        return overlay_snapshot(network, cell_capacity=self._cell_capacity)
 
     def overlay_for(self, network) -> OverlayGraph:
         """The overlay answering queries over ``network``."""
@@ -1715,33 +1658,20 @@ class OverlayProcessor(PreprocessingProcessor):
         return result
 
 
-class CSROverlayProcessor(OverlayProcessor):
-    """Flat-kernel partition-overlay processor (``"overlay-csr"``).
-
-    Identical strategy and distances to :class:`OverlayProcessor`; the
-    local cell phases run on per-cell CSR snapshots with the pooled
-    index-space kernels instead of dict searches.
-    """
-
-    name = "overlay-csr"
-    _kernel = "csr"
-
-
-class NestedOverlayProcessor(OverlayProcessor):
+class NestedOverlayProcessor(CSROverlayProcessor):
     """Two-level nested-overlay MSMD processor (``"overlay-nested"``).
 
-    Identical batch contract and distances to :class:`OverlayProcessor`;
-    the per-network artifact is the :class:`NestedOverlayGraph`, whose
-    sweeps skip interior boundary nodes of every supercell the query's
-    endpoints do not touch.
+    Identical batch contract and distances to
+    :class:`CSROverlayProcessor`; the per-network artifact is the
+    :class:`NestedOverlayGraph`, whose sweeps skip interior boundary
+    nodes of every supercell the query's endpoints do not touch.
     """
 
     name = "overlay-nested"
-    _kernel = "csr"
 
     def _build(self, network) -> NestedOverlayGraph:
         return nested_overlay_snapshot(
-            network, kernel=self._kernel, cell_capacity=self._cell_capacity
+            network, cell_capacity=self._cell_capacity
         )
 
 
@@ -1760,7 +1690,7 @@ def dumps_overlay(overlay: OverlayGraph) -> str:
     from repro.network.io import partition_cell_lines
 
     lines = ["# repro overlay v1"]
-    lines.append(f"kernel {overlay.kernel}")
+    lines.append(f"kernel {_KERNEL}")
     lines.append(f"capacity {overlay.partition.cell_capacity}")
     lines.extend(partition_cell_lines(overlay.partition))
     for cell, clique in enumerate(overlay.cliques):
@@ -1816,7 +1746,7 @@ def _read_overlay(fh: TextIO, network) -> OverlayGraph:
             if kind == "kernel":
                 if kernel is not None:
                     raise GraphError("duplicate 'kernel' header")
-                if fields[1] not in _KERNELS:
+                if fields[1] != _KERNEL:
                     raise GraphError(f"unknown overlay kernel {fields[1]!r}")
                 kernel = fields[1]
             elif kind == "capacity":
@@ -1857,10 +1787,10 @@ def _read_overlay(fh: TextIO, network) -> OverlayGraph:
     cell_csr: list = []
     cell_rcsr: list = []
     for cell in range(partition.num_cells):
-        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell, kernel)
+        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell)
         cell_csr.append(fcsr)
         cell_rcsr.append(rcsr)
     return OverlayGraph(
-        network, partition, kernel, cliques, cell_csr, cell_rcsr,
+        network, partition, cliques, cell_csr, cell_rcsr,
         SearchStats(), 0,
     )

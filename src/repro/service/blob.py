@@ -337,7 +337,7 @@ def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
     GraphError
         For non-integer node ids.
     """
-    from repro.search.overlay import NestedOverlayGraph
+    from repro.search.overlay import _KERNEL, NestedOverlayGraph
 
     partition = overlay.partition
     cell_offsets = array("q", [0])
@@ -363,7 +363,7 @@ def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
                 clq_offsets.append(len(clq_nodes))
     meta = {
         "kind": "overlay",
-        "kernel": overlay.kernel,
+        "kernel": _KERNEL,
         "capacity": partition.cell_capacity,
         "nested": isinstance(overlay, NestedOverlayGraph),
         "super_capacity": (
@@ -400,7 +400,7 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
     """
     from repro.network.io import parse_partition_cells
     from repro.search.overlay import (
-        _KERNELS,
+        _KERNEL,
         NestedOverlayGraph,
         OverlayGraph,
         PathResult,
@@ -413,7 +413,7 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
         if meta.get("kind") != "overlay":
             raise GraphError(f"not an overlay blob: {path}")
         kernel = meta.get("kernel")
-        if kernel not in _KERNELS:
+        if kernel != _KERNEL:
             raise GraphError(f"unknown overlay kernel {kernel!r}")
         capacity = int(meta["capacity"])
         s = blob.sections
@@ -456,19 +456,19 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
     cell_csr: list = []
     cell_rcsr: list = []
     for cell in range(partition.num_cells):
-        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell, kernel)
+        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell)
         cell_csr.append(fcsr)
         cell_rcsr.append(rcsr)
     if meta.get("nested"):
         super_capacity = meta.get("super_capacity")
         return NestedOverlayGraph(
-            network, partition, kernel, cliques, cell_csr, cell_rcsr,
+            network, partition, cliques, cell_csr, cell_rcsr,
             SearchStats(), 0,
             super_capacity=(
                 int(super_capacity) if super_capacity is not None else None
             ),
         )
     return OverlayGraph(
-        network, partition, kernel, cliques, cell_csr, cell_rcsr,
+        network, partition, cliques, cell_csr, cell_rcsr,
         SearchStats(), 0,
     )

@@ -404,15 +404,15 @@ class PreprocessingCache:
         return path if path is not None and path.exists() else None
 
     # ------------------------------------------------------------------
-    # Disk spill (contracted graphs — directly for "ch", via the wrapped
-    # graph for "ch-csr" flat hierarchies, see repro.search.ch.persist;
+    # Disk spill (contracted graphs via the wrapped graph of "ch-csr"
+    # flat hierarchies, see repro.search.ch.persist;
     # partition overlays and CSR snapshots via the page-aligned binary
     # blobs of repro.service.blob, mmap-backed on reload)
     # ------------------------------------------------------------------
     #: engines whose artifacts spill via the overlay blob format; the
     #: one list both the path chooser and the loader consult, so the
     #: two can never disagree on a key's on-disk format.
-    _OVERLAY_SPILL_ENGINES = ("overlay", "overlay-csr", "overlay-nested")
+    _OVERLAY_SPILL_ENGINES = ("overlay-csr", "overlay-nested")
 
     #: engines whose artifacts are plain CSR snapshots, spilled as CSR
     #: blobs and reloaded with mmap-backed arrays (first query faults in
@@ -433,7 +433,6 @@ class PreprocessingCache:
 
     def _spill(self, key: tuple[str, str], artifact: object) -> None:
         from repro.network.csr import CSRGraph
-        from repro.search.ch import ContractedGraph
         from repro.search.kernels import CSRHierarchy
         from repro.search.overlay import OverlayGraph
 
@@ -464,16 +463,14 @@ class PreprocessingCache:
                 except GraphError:  # non-int node ids: spill is best-effort
                     path.unlink(missing_ok=True)
             return
-        if isinstance(artifact, CSRHierarchy):
-            # The flat arrays are a cheap derivative; persist the wrapped
-            # contracted graph and re-flatten on reload.
-            artifact = artifact.contracted
-        if not isinstance(artifact, ContractedGraph):
+        if not isinstance(artifact, CSRHierarchy):
             return
         from repro.search.ch.persist import write_contracted
 
+        # The flat arrays are a cheap derivative; persist the wrapped
+        # contracted graph and re-flatten on reload.
         self._spill_dir.mkdir(parents=True, exist_ok=True)
-        write_contracted(artifact, path)
+        write_contracted(artifact.contracted, path)
 
     def _load_spilled(self, key: tuple[str, str], network) -> object | None:
         path = self._spill_path(key)
@@ -488,13 +485,9 @@ class PreprocessingCache:
 
             return read_csr_blob(path)
         from repro.search.ch.persist import read_contracted
+        from repro.search.kernels import CSRHierarchy
 
-        graph = read_contracted(path)
-        if key[1] == "ch-csr":
-            from repro.search.kernels import CSRHierarchy
-
-            return CSRHierarchy(graph)
-        return graph
+        return CSRHierarchy(read_contracted(path))
 
 
 class ResultCache:

@@ -47,6 +47,7 @@ intermediary logs.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import logging
 import math
@@ -54,11 +55,14 @@ import multiprocessing
 import re
 import tempfile
 import threading
+import time
 import uuid
+from collections import Counter
 from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry
+from repro.exceptions import EdgeError
+from repro.obs.metrics import MetricsRegistry, sanitize_metric_name
 from repro.obs.trace import FORBIDDEN_ATTR_KEYS
 from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import (
@@ -114,6 +118,13 @@ _STATUS_FOR_CODE = {
 _MAX_BODY_BYTES = 1 << 20
 
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+
+#: RFC 9110 ``Content-Length``: one or more ASCII digits, nothing else
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]+")
+
+
+class _MalformedRequest(Exception):
+    """A request head the gateway cannot frame (answered with a 400)."""
 
 
 def redacted_fields(**fields: object) -> dict:
@@ -276,46 +287,50 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
     Builds a stack from the pickled ``(network, config)`` pair, warms
     it (an mmap blob load when the parent pre-spilled the artifact into
     the shared spill dir — see :mod:`repro.service.blob`) and serves
-    pipe requests until ``stop``.  The measured warm-up wall time is
-    reported as ``warm_ms`` in every ``metrics`` reply, so the gateway
-    gate can assert cold workers start in milliseconds.
+    pipe requests until ``stop``.  Each request arrives as
+    ``(seq, message)`` and its reply echoes ``seq`` (see
+    :meth:`ShardWorkerPool.call`).  Every ``metrics`` reply carries the
+    measured warm-up wall time as ``warm_ms``, so the gateway gate can
+    assert cold workers start in milliseconds, and ``exceptions``: the
+    failed requests counted by exception class name — counts only,
+    never messages (core exception text names node ids).
     """
-    import time
-
     stack = ServingStack.from_config(network, config)
+    exceptions: Counter[str] = Counter()
     try:
         t0 = time.perf_counter()
         stack.warm()
         warm_ms = (time.perf_counter() - t0) * 1000.0
         while True:
-            message = conn.recv()
+            seq, message = conn.recv()
             op = message[0]
             if op == "stop":
-                conn.send(("ok", None))
+                conn.send((seq, "ok", None))
                 break
             try:
                 if op == "ping":
-                    conn.send(("ok", "pong"))
+                    payload = "pong"
                 elif op == "batch":
-                    conn.send(("ok", _evaluate_pairs(stack, message[1])))
+                    payload = _evaluate_pairs(stack, message[1])
                 elif op == "reweight":
-                    outcome = stack.reweight(
-                        [tuple(c) for c in message[1]], epoch=True
-                    )
-                    conn.send(("ok", {
+                    outcome = stack.reweight([tuple(c) for c in message[1]])
+                    payload = {
                         "edges": outcome.edges,
                         "touched_cells": len(outcome.touched_cells),
                         "recustomized": outcome.recustomized,
                         "epoch": outcome.epoch,
-                    }))
+                    }
                 elif op == "metrics":
-                    report = _shard_report(stack)
-                    report["warm_ms"] = round(warm_ms, 3)
-                    conn.send(("ok", report))
+                    payload = _shard_report(stack)
+                    payload["warm_ms"] = round(warm_ms, 3)
+                    payload["exceptions"] = dict(sorted(exceptions.items()))
                 else:
-                    conn.send(("err", "internal"))
-            except Exception:
-                conn.send(("err", "internal"))
+                    raise ValueError("unknown pipe op")
+                reply = (seq, "ok", payload)
+            except Exception as exc:
+                exceptions[type(exc).__name__] += 1
+                reply = (seq, "err", "internal")
+            conn.send(reply)
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
         pass
     finally:
@@ -331,13 +346,17 @@ class ShardWorkerPool:
     locks or threads) reload it from the shared spill directory instead
     of rebuilding.  Calls are pipe round-trips serialized per worker by
     a lock; the gateway runs them on executor threads so the event loop
-    never blocks on a pipe.
+    never blocks on a pipe.  Every request carries a fresh sequence
+    number that its reply echoes, so a reply that arrives after its
+    call timed out is recognized and dropped instead of being handed to
+    the next caller.
     """
 
     def __init__(self, network, config: ServingConfig, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._workers: list[tuple] = []
+        self._seq = itertools.count(1)
         ctx = multiprocessing.get_context("spawn")
         for _ in range(workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -363,11 +382,20 @@ class ShardWorkerPool:
         """
         process, conn, lock = self._workers[shard % len(self._workers)]
         with lock:
+            seq = next(self._seq)
+            deadline = time.monotonic() + timeout
             try:
-                conn.send(message)
-                if not conn.poll(timeout):
-                    raise RuntimeError("worker timed out")
-                status, payload = conn.recv()
+                conn.send((seq, message))
+                while True:
+                    remaining = max(deadline - time.monotonic(), 0.0)
+                    if not conn.poll(remaining):
+                        raise RuntimeError("worker timed out")
+                    reply_seq, status, payload = conn.recv()
+                    if reply_seq == seq:
+                        break
+                    # A late reply to an earlier call that timed out: it
+                    # answers another request, so it must never be
+                    # returned for this one.
             except (EOFError, BrokenPipeError, OSError) as exc:
                 raise RuntimeError("worker unavailable") from exc
         if status != "ok":
@@ -390,7 +418,7 @@ class ShardWorkerPool:
         for process, conn, lock in self._workers:
             with lock:
                 try:
-                    conn.send(("stop",))
+                    conn.send((next(self._seq), ("stop",)))
                     conn.poll(5.0)
                 except (BrokenPipeError, OSError):
                     pass
@@ -532,6 +560,19 @@ class Gateway:
             self._tmp_spill.cleanup()
             self._tmp_spill = None
 
+    def _count_caught(self, exc: BaseException) -> None:
+        """Count one caught-and-mapped exception by its class name.
+
+        One counter per class, ``repro_gateway_caught_<Class>_total``:
+        class names only, never the message (core exception text names
+        node ids).
+        """
+        name = sanitize_metric_name(type(exc).__name__.lstrip("_"))
+        self.metrics.counter(
+            f"repro_gateway_caught_{name}_total",
+            desc=f"{name} exceptions caught and mapped to an error",
+        ).inc()
+
     # -- middleware chain ----------------------------------------------
 
     def _build_chain(
@@ -636,8 +677,10 @@ class Gateway:
         try:
             return await handler(request)
         except WireError as exc:
+            self._count_caught(exc)
             return _error_response(exc.code)
-        except Exception:
+        except Exception as exc:
+            self._count_caught(exc)
             return _error_response("internal")
 
     async def _handle_route(self, request: _HTTPRequest) -> _HTTPResponse:
@@ -696,29 +739,40 @@ class Gateway:
         return _HTTPResponse(200, canonical_json(body))
 
     async def _handle_reweight(self, request: _HTTPRequest) -> _HTTPResponse:
-        doc = json.loads(request.body) if request.body else None
-        if not isinstance(doc, dict) or not isinstance(
-            doc.get("changes"), list
-        ):
-            return _error_response("invalid_request")
+        """Re-weight the parent, then every shard.
+
+        Validation failures (malformed JSON or changes, a missing edge,
+        an invalid weight) are the client's: 400 ``invalid_request``.
+        Anything else — a shard that fails or times out — is 500
+        ``internal``.
+        """
         try:
+            doc = json.loads(request.body) if request.body else None
+            if not isinstance(doc, dict) or not isinstance(
+                doc.get("changes"), list
+            ):
+                raise ValueError("reweight body needs a 'changes' list")
             changes = [
                 (int(u), int(v), float(w)) for u, v, w in doc["changes"]
             ]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError) as exc:
+            self._count_caught(exc)
             return _error_response("invalid_request")
         loop = asyncio.get_running_loop()
         try:
             outcome = await loop.run_in_executor(
-                None,
-                lambda: self.stack.reweight(changes, epoch=True),
+                None, self.stack.reweight, changes
             )
             if self.pool is not None:
                 await loop.run_in_executor(
                     None, self.pool.broadcast, ("reweight", changes)
                 )
-        except Exception:
+        except EdgeError as exc:
+            self._count_caught(exc)
             return _error_response("invalid_request")
+        except Exception as exc:
+            self._count_caught(exc)
+            return _error_response("internal")
         body = {
             "schema": WIRE_SCHEMA_VERSION,
             "edges": outcome.edges,
@@ -788,7 +842,8 @@ class Gateway:
                     results = await loop.run_in_executor(
                         None, _evaluate_pairs, self.stack, pairs
                     )
-            except Exception:
+            except Exception as exc:
+                self._count_caught(exc)
                 results = [{"err": "internal"}] * len(batch)
             for (future, _), result in zip(batch, results):
                 if not future.done():
@@ -800,7 +855,16 @@ class Gateway:
         """Serve HTTP/1.1 requests on one connection (keep-alive)."""
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _MalformedRequest as exc:
+                    # The body cannot be framed, so the connection
+                    # cannot be reused: answer, then close.
+                    self._count_caught(exc)
+                    await self._write_response(
+                        writer, _error_response("invalid_request"), False
+                    )
+                    break
                 if request is None:
                     break
                 response = await self._handler(request)
@@ -825,7 +889,13 @@ class Gateway:
                 pass
 
     async def _read_request(self, reader) -> _HTTPRequest | None:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
+        """Parse one HTTP/1.1 request; ``None`` on clean EOF.
+
+        Raises
+        ------
+        _MalformedRequest
+            For a ``Content-Length`` that is not a plain decimal number.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -842,7 +912,13 @@ class Gateway:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length")
+        if raw_length is None:
+            length = 0
+        elif _CONTENT_LENGTH_RE.fullmatch(raw_length):
+            length = int(raw_length)
+        else:
+            raise _MalformedRequest("malformed Content-Length")
         if length > _MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""

@@ -13,8 +13,8 @@ deployment puts between the obfuscator and the
 3. a :class:`ConcurrentDispatcher` that evaluates independent obfuscated
    queries of one batch across a thread pool, each worker holding its
    own engine handle (MSMD processor) over the shared artifact;
-4. optionally a :class:`QueryCoalescer` (``coalesce=`` parameter) — a
-   micro-batching window that merges *concurrent* obfuscated queries,
+4. optionally a :class:`QueryCoalescer` (:attr:`ServingConfig.coalesce`)
+   — a micro-batching window that merges *concurrent* obfuscated queries,
    across sessions, into one shared union kernel pass
    (:meth:`~repro.search.multi.MultiSourceMultiDestProcessor.process_union`)
    and slices the pair table back per session.
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -101,17 +100,15 @@ class ReweightOutcome:
         engine, or no cached artifact to start from).
     fingerprint:
         Content fingerprint of the network *after* the update — the key
-        the refreshed artifact is installed under (empty for a no-op
-        update).
+        the refreshed artifact is installed under (unchanged for a
+        no-op update).
     previous_fingerprint:
-        Fingerprint before the update; with ``epoch=True`` this is the
-        retired epoch's key, which the caller (the live traffic
-        pipeline) may eventually pass to
+        Fingerprint before the update: the retired epoch's key, which
+        the caller (the live traffic pipeline) may eventually pass to
         :meth:`~repro.service.cache.PreprocessingCache.invalidate_fingerprint`
         once no in-flight batch can still reference it.
     epoch:
-        The stack's epoch sequence number after the update (0 for a
-        legacy in-place update, which does not advance the epoch).
+        The stack's epoch sequence number after the update.
     """
 
     edges: int
@@ -623,39 +620,20 @@ class ServingStack:
     server side alone.
 
     Construct stacks through :meth:`from_config`: one frozen
-    :class:`ServingConfig` carries every construction-time knob, and the
-    keyword arguments below that hold live collaborators (caches,
-    metrics, tracer) ride alongside it.  The legacy keyword form
-    (``ServingStack(net, engine=..., max_workers=...)``) still works but
-    emits a single :class:`DeprecationWarning`.
+    :class:`ServingConfig` carries every construction-time knob (engine,
+    dispatcher workers, coalescing window, spill directory, cache sizes),
+    and the keyword arguments below that hold live collaborators
+    (caches, metrics, tracer) ride alongside it.
 
     Parameters
     ----------
     network:
         The server's road network (shared by every component).
     config:
-        A :class:`ServingConfig`; when ``None`` (the deprecated path)
-        one is synthesized from the legacy keyword arguments.
-    engine:
-        Name from the :data:`repro.search.ENGINES` registry; decides
-        both the preprocessing artifact and the per-worker MSMD handles.
-        *(deprecated — set on* :class:`ServingConfig` *)*
+        The :class:`ServingConfig` to build from.
     preprocessing_cache, result_cache:
         Preconfigured caches, e.g. shared across several stacks serving
         different networks; fresh defaults otherwise.
-    max_workers:
-        Dispatcher thread-pool size (1 = serial).
-        *(deprecated — set on* :class:`ServingConfig` *)*
-    spill_dir:
-        Disk-spill directory for the default preprocessing cache
-        (ignored when ``preprocessing_cache`` is given).
-        *(deprecated — set on* :class:`ServingConfig` *)*
-    coalesce:
-        A :class:`CoalesceConfig` to enable the cross-session
-        :class:`QueryCoalescer`: concurrent queries (from any thread or
-        session) are merged into shared union kernel passes and sliced
-        back per session, byte-identical to serial answers.  ``None``
-        (default) keeps the per-query dispatch path.
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`; a private
         one is created otherwise.  The stack's server, coalescer and the
@@ -681,38 +659,15 @@ class ServingStack:
     def __init__(
         self,
         network,
-        engine: str = "dijkstra",
+        *,
+        config: ServingConfig,
         preprocessing_cache: PreprocessingCache | None = None,
         result_cache: ResultCache | None = None,
-        max_workers: int = 4,
-        spill_dir=None,
-        coalesce: CoalesceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        *,
-        config: ServingConfig | None = None,
     ) -> None:
         from repro.search import get_engine
 
-        if config is None:
-            # The single deprecation path: every legacy keyword
-            # construction funnels through here, so one filter catches
-            # them all (the test suite turns it into an error).
-            warnings.warn(
-                "ServingStack(engine=..., max_workers=...) keyword "
-                "construction is deprecated; build a ServingConfig and "
-                "call ServingStack.from_config(network, config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServingConfig(
-                engine=engine,
-                max_workers=max_workers,
-                coalesce=coalesce,
-                spill_dir=(
-                    str(spill_dir) if spill_dir is not None else None
-                ),
-            )
         #: the frozen construction-time knobs this stack was built from
         self.config = config
         self.network = network
@@ -788,11 +743,10 @@ class ServingStack:
     ) -> "ServingStack":
         """Build a stack from a frozen :class:`ServingConfig`.
 
-        The non-deprecated constructor.  ``config`` defaults to
-        ``ServingConfig()``; the keyword arguments carry live
-        collaborators that cannot live on a frozen config (pre-built
-        caches shared across stacks, a shared metrics registry, a
-        tracer).
+        ``config`` defaults to ``ServingConfig()``; the keyword
+        arguments carry live collaborators that cannot live on a frozen
+        config (pre-built caches shared across stacks, a shared metrics
+        registry, a tracer).
         """
         return cls(
             network,
@@ -807,9 +761,8 @@ class ServingStack:
     def epoch(self) -> int:
         """Sequence number of the currently installed network epoch.
 
-        0 until the first :meth:`install_epoch` (or
-        ``reweight(..., epoch=True)``); each atomic handoff increments
-        it.  Legacy in-place mutations do not advance the epoch.
+        0 until the first :meth:`install_epoch` (or :meth:`reweight`);
+        each atomic handoff increments it.
         """
         with self._lock:
             return self._epoch
@@ -831,8 +784,8 @@ class ServingStack:
     ) -> str:
         """Atomically switch serving to a new network snapshot.
 
-        The epoch-handoff write side, used by
-        ``reweight(..., epoch=True)`` and the live traffic pipeline
+        The epoch-handoff write side, used by :meth:`reweight` and the
+        live traffic pipeline
         (:mod:`repro.service.pipeline`): the artifact (when given) is
         installed in the preprocessing cache under the snapshot's
         fingerprint *first*, then the stack's ``network`` reference,
@@ -902,7 +855,7 @@ class ServingStack:
     ) -> list[ServerResponse]:
         """Answer a batch of independent obfuscated queries.
 
-        With coalescing enabled (``coalesce=`` constructor parameter)
+        With coalescing enabled (:attr:`ServingConfig.coalesce`)
         the batch enters the :class:`QueryCoalescer` window — possibly
         merging with concurrent callers — and each response comes back
         byte-identical to what the per-query path below would produce.
@@ -1169,7 +1122,8 @@ class ServingStack:
         """Shard hint for ``query``: the partition cell of its first source.
 
         Available when the engine's cached artifact is a partition
-        overlay (``"overlay"``/``"overlay-csr"``); ``None`` otherwise.
+        overlay (``"overlay-csr"``/``"overlay-nested"``); ``None``
+        otherwise.
         A fleet of stacks can use the hint to route queries to the
         replica owning that cell; a single stack uses it to group each
         batch's misses by cell before dispatching (see
@@ -1186,104 +1140,59 @@ class ServingStack:
         self,
         changes: Sequence[tuple],
         recustomize: bool = True,
-        epoch: bool = False,
+        epoch: bool = True,
     ) -> ReweightOutcome:
         """Apply a traffic update and refresh preprocessing incrementally.
 
         Each change ``(u, v, weight)`` re-weights an *existing* edge of
         the serving network (both directions on undirected networks).
-        The mutation bumps the network's ``version``, so the content
-        fingerprint changes and every cached artifact and result table
-        for the old geometry stops matching — correctness needs nothing
-        else.  The point of this method is the cost: when the engine's
+        The update is copy-on-write: the changes are applied to a *copy*
+        of the serving network and the snapshot is installed atomically
+        via :meth:`install_epoch`, under a new content fingerprint, so
+        every cached artifact and result table for the old weights stops
+        matching.  Safe to call while queries are in flight: batches
+        that already captured the old epoch finish on its untouched
+        network, new batches see the update.  This is the path the live
+        traffic pipeline (:mod:`repro.service.pipeline`) drives from its
+        background worker.
+
+        The point of the incremental path is the cost: when the engine's
         current artifact is a partition overlay, the touched cells'
-        cliques are recustomized against the new weights
-        (:meth:`~repro.search.overlay.OverlayGraph.recustomized`) and the
-        updated overlay is installed under the new fingerprint via
-        :meth:`~repro.service.cache.PreprocessingCache.put` — so the next
-        query pays a per-cell refresh instead of a full rebuild.
+        cliques are recustomized from the snapshot
+        (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`) and
+        the updated overlay is installed with it — so the next query
+        pays a per-cell refresh instead of a full rebuild.
 
-        Two concurrency modes:
-
-        * ``epoch=False`` (legacy): the serving network is mutated in
-          place.  Call it between batches — mutating the network while
-          queries are in flight is a data race on the graph itself, same
-          as calling ``add_edge`` directly.
-        * ``epoch=True``: copy-on-write.  The changes are applied to a
-          *copy* of the serving network, the overlay is recustomized
-          from that snapshot
-          (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`),
-          and the snapshot is installed atomically via
-          :meth:`install_epoch`.  Safe to call while queries are in
-          flight: batches that already captured the old epoch finish on
-          its untouched network, new batches see the update.  This is
-          the path the live traffic pipeline
-          (:mod:`repro.service.pipeline`) drives from its background
-          worker.
+        Parameters
+        ----------
+        epoch:
+            Must be ``True`` (the default); kept so callers that spell
+            out the copy-on-write mode keep working.
 
         Raises
         ------
         EdgeError
             If any ``(u, v)`` is not an existing edge (re-weighting
-            never creates roads).
+            never creates roads), or a weight is negative or not finite.
+        ValueError
+            For ``epoch=False``: in-place re-weighting was removed.
         """
+        if not epoch:
+            raise ValueError(
+                "in-place re-weighting (epoch=False) was removed; "
+                "reweight() always installs a copy-on-write epoch"
+            )
+        old_network, old_fingerprint = self._epoch_view()
         applied = [(u, v, float(w)) for u, v, w in changes]
         # Validate everything before applying anything: a bad entry must
         # not leave the network half-updated.
         for u, v, w in applied:
-            if not self.network.has_edge(u, v):
+            if not old_network.has_edge(u, v):
                 raise EdgeError(f"cannot reweight missing edge ({u!r}, {v!r})")
             if w < 0 or math.isnan(w) or math.isinf(w):
                 raise EdgeError(
                     f"invalid weight {w} for edge ({u!r}, {v!r})"
                 )
-        if epoch:
-            return self._reweight_epoch(applied, recustomize)
-        old_fingerprint = self._fingerprint()
-        old_artifact = self.preprocessing.peek(old_fingerprint, self.engine_name)
-        for u, v, w in applied:
-            self.network.add_edge(u, v, w)
-        touched: tuple[int, ...] = ()
-        recustomized = False
-        if (
-            recustomize
-            and applied
-            and isinstance(old_artifact, OverlayGraph)
-            # A shared PreprocessingCache may hold an overlay built by a
-            # *different* stack over a content-identical network object;
-            # recustomizing it would read that other network's (un-mutated)
-            # weights.  Only the overlay bound to our network is usable.
-            and old_artifact.network is self.network
-        ):
-            cells = old_artifact.touched_cells(applied)
-            overlay = old_artifact.recustomized(
-                cells, changed_edges=applied, customizer=self.customizer
-            )
-            self.preprocessing.put(
-                self._fingerprint(), self.engine_name, overlay
-            )
-            touched = tuple(sorted(cells))
-            recustomized = True
-        elif applied and self.customizer is not None:
-            # The pool never saw this re-weight (recustomize off, the
-            # artifact evicted, or a foreign overlay in a shared cache):
-            # fold the changes into its cumulative delta map so the next
-            # pooled recustomize still computes from current weights
-            # instead of the blob's stale ones.
-            self.customizer.note_changes(self.network, applied)
-        return ReweightOutcome(
-            edges=len(applied),
-            touched_cells=touched,
-            recustomized=recustomized,
-            fingerprint=self._fingerprint() if applied else old_fingerprint,
-            previous_fingerprint=old_fingerprint,
-        )
-
-    def _reweight_epoch(
-        self, applied: list[tuple], recustomize: bool
-    ) -> ReweightOutcome:
-        """The copy-on-write half of :meth:`reweight` (``epoch=True``)."""
-        old_network, old_fingerprint = self._epoch_view()
         if not applied:
             return ReweightOutcome(
                 edges=0,
@@ -1302,8 +1211,10 @@ class ServingStack:
         if (
             recustomize
             and isinstance(old_artifact, OverlayGraph)
-            # Same binding guard as the in-place path: only an overlay
-            # reading *this* epoch's weights can donate untouched cells.
+            # A shared PreprocessingCache may hold an overlay built by a
+            # *different* stack over a content-identical network object;
+            # only an overlay reading *this* epoch's weights can donate
+            # untouched cells.
             and old_artifact.network is old_network
         ):
             cells = old_artifact.touched_cells(applied)
@@ -1313,9 +1224,10 @@ class ServingStack:
             )
             touched = tuple(sorted(cells))
         elif self.customizer is not None:
-            # Same coherence rule as the in-place path: a re-weight the
-            # pool did not customize must still land in its delta map,
-            # or the next pooled refresh serves pre-change weights.
+            # The pool never saw this re-weight (recustomize off, the
+            # artifact evicted, or a foreign overlay in a shared cache):
+            # fold the changes into its cumulative delta map, or the
+            # next pooled refresh serves pre-change weights.
             self.customizer.note_changes(snapshot, applied)
         new_fingerprint = self.install_epoch(snapshot, artifact=overlay)
         return ReweightOutcome(

@@ -19,8 +19,8 @@ from repro.network.generators import (
     ring_radial_network,
     tiger_like_network,
 )
-from repro.search.ch import CHManyToManyProcessor
 from repro.search.dijkstra import dijkstra_path
+from repro.search.kernels import CSRCHManyToManyProcessor
 from repro.search.multi import (
     NaivePairwiseProcessor,
     SharedTreeProcessor,
@@ -61,7 +61,7 @@ def test_full_pipeline_on_every_topology(topology, mode):
         NaivePairwiseProcessor(),
         SharedTreeProcessor(),
         SideSelectingProcessor(),
-        CHManyToManyProcessor(),
+        CSRCHManyToManyProcessor(),
     ],
     ids=["naive", "shared", "side-selecting", "ch"],
 )
@@ -77,14 +77,14 @@ def test_processor_choice_never_changes_results(processor):
 
 
 def test_ch_engine_end_to_end_batch():
-    """`OpaqueSystem(engine="ch")` runs a whole batch through the
+    """`OpaqueSystem(engine="ch-csr")` runs a whole batch through the
     obfuscator -> server -> filter loop and returns true shortest paths,
     while the server answers every candidate pair off the hierarchy."""
     network = grid_network(15, 15, perturbation=0.1, seed=241)
     queries = uniform_queries(network, 6, seed=19)
     requests = requests_from_queries(queries, ProtectionSetting(3, 3))
-    system = OpaqueSystem(network, mode="shared", engine="ch", seed=19)
-    assert system.server.processor.name == "ch"
+    system = OpaqueSystem(network, mode="shared", engine="ch-csr", seed=19)
+    assert system.server.processor.name == "ch-csr"
     results = system.submit(requests)
     assert len(results) == len(requests)
     for request in requests:

@@ -201,6 +201,12 @@ class TestGatewayNeverLeaksEndpoints:
                      {"sources": [_IDS[0]], "destinations": [_IDS[1]],
                       "waypoints": _IDS[2:4]}),
                     ("GET", f"{API_PREFIX}/nope", None),
+                    # missing edge: EdgeError names both ids
+                    ("POST", f"{API_PREFIX}/reweight",
+                     {"changes": [[_IDS[0], _IDS[5], 1.0]]}),
+                    # malformed change list
+                    ("POST", f"{API_PREFIX}/reweight",
+                     {"changes": [_IDS[:2]]}),
                 ]:
                     status, body = call(method, path, doc)
                     assert status >= 400
@@ -225,6 +231,48 @@ class TestGatewayNeverLeaksEndpoints:
                     f"gateway surface leaked node id {node}: "
                     f"{surface[:400]}..."
                 )
+
+    def test_caught_exception_counters_are_clean(self, marked_network):
+        """The per-class counters of caught exceptions — in the gateway
+        registry and in every shard's report — carry class names and
+        counts, never the node ids the exception messages name."""
+        import http.client
+        import json
+
+        from repro.service.gateway import (
+            API_PREFIX,
+            GatewayConfig,
+            GatewayServer,
+        )
+
+        with GatewayServer(
+            marked_network,
+            ServingConfig(engine="dijkstra"),
+            GatewayConfig(workers=1),
+        ) as server:
+            with pytest.raises(RuntimeError):
+                # the worker's EdgeError names both ids
+                server.gateway.pool.call(
+                    0, ("reweight", [(_IDS[0], _IDS[5], 1.0)])
+                )
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            conn.request(
+                "POST", f"{API_PREFIX}/reweight",
+                body=json.dumps({"changes": [[_IDS[0], _IDS[5], 1.0]]}),
+            )
+            assert conn.getresponse().read()
+            conn.request("GET", f"{API_PREFIX}/metrics")
+            metrics_body = conn.getresponse().read().decode()
+            conn.close()
+        doc = json.loads(metrics_body)
+        assert doc["shards"][0]["exceptions"] == {"EdgeError": 1}
+        assert "repro_gateway_caught_EdgeError_total" in doc["gateway"][
+            "metrics"
+        ]
+        for node in _IDS:
+            assert str(node) not in metrics_body
 
     def test_access_log_lines_are_structured_and_useful(self, marked_network):
         import json

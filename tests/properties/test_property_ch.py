@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from repro.exceptions import NoPathError
 from repro.network.graph import RoadNetwork
 from repro.search.ch import (
-    ch_path,
     contract_network,
     loads_contracted,
     dumps_contracted,
 )
+from repro.search.kernels import CSRHierarchy, csr_ch_path
 
 
 @st.composite
@@ -51,12 +51,12 @@ def arbitrary_networks(draw, min_nodes=2, max_nodes=24):
 @given(arbitrary_networks(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_ch_paths_are_walkable(net, data):
-    graph = contract_network(net)
+    hierarchy = CSRHierarchy(contract_network(net))
     nodes = list(net.nodes())
     s = data.draw(st.sampled_from(nodes))
     t = data.draw(st.sampled_from(nodes))
     try:
-        path = ch_path(graph, s, t)
+        path = csr_ch_path(hierarchy, s, t)
     except NoPathError:
         return
     assert path.nodes[0] == s and path.nodes[-1] == t
@@ -71,16 +71,17 @@ def test_ch_paths_are_walkable(net, data):
 @settings(max_examples=20, deadline=None)
 def test_persist_round_trip_preserves_distances(net, data):
     graph = contract_network(net)
-    loaded = loads_contracted(dumps_contracted(graph))
+    original = CSRHierarchy(graph)
+    loaded = CSRHierarchy(loads_contracted(dumps_contracted(graph)))
     nodes = list(net.nodes())
     s = data.draw(st.sampled_from(nodes))
     t = data.draw(st.sampled_from(nodes))
     try:
-        original = ch_path(graph, s, t).distance
+        distance = csr_ch_path(original, s, t).distance
     except NoPathError:
         try:
-            ch_path(loaded, s, t)
+            csr_ch_path(loaded, s, t)
         except NoPathError:
             return
         raise AssertionError("round-trip changed reachability")
-    assert ch_path(loaded, s, t).distance == original
+    assert csr_ch_path(loaded, s, t).distance == distance

@@ -13,11 +13,9 @@ from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import csr_snapshot
 from repro.network.graph import RoadNetwork
 from repro.search import ENGINES, get_engine
-from repro.search.bidirectional import bidirectional_dijkstra_path
-from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.kernels import (
-    CSRHierarchy,
+    CSRCHManyToManyProcessor,
     CSRSharedTreeProcessor,
     ch_csr_hierarchy,
     csr_bidirectional_path,
@@ -27,7 +25,7 @@ from repro.search.kernels import (
     csr_dijkstra_to_many,
     scratch_for,
 )
-from repro.search.multi import SharedTreeProcessor, get_processor
+from repro.search.multi import SharedTreeProcessor
 from repro.search.result import SearchStats
 
 
@@ -122,18 +120,6 @@ class TestToMany:
 
 
 class TestCHKernels:
-    def test_point_matches_dict_ch(self, small_grid):
-        contracted = contract_network(small_grid)
-        hierarchy = CSRHierarchy(contracted)
-        for s, t in _sample_pairs(small_grid, 20, seed=5):
-            ref = ch_path(contracted, s, t)
-            got = csr_ch_path(hierarchy, s, t)
-            assert got.distance == ref.distance
-            total = sum(
-                small_grid.edge_weight(u, v) for u, v in got.edges()
-            )
-            assert total == pytest.approx(got.distance)
-
     def test_many_to_many_matches_shared_trees(self, small_grid):
         hierarchy = ch_csr_hierarchy(small_grid)
         nodes = list(small_grid.nodes())
@@ -155,7 +141,7 @@ class TestCHKernels:
         table = csr_ch_many_to_many(hierarchy, [0], [1, 3])
         assert set(table) == {(0, 1)}
         with pytest.raises(NoPathError):
-            get_processor("ch-csr").process(net, [0], [1, 3])
+            CSRCHManyToManyProcessor().process(net, [0], [1, 3])
 
     def test_unknown_endpoint(self, small_grid):
         hierarchy = ch_csr_hierarchy(small_grid)
@@ -181,7 +167,7 @@ class TestProcessorsAndEngines:
         sources = rng.sample(nodes, 3)
         destinations = rng.sample(nodes, 3)
         ref = SharedTreeProcessor().process(small_grid, sources, destinations)
-        got = get_processor("dijkstra-csr").process(
+        got = CSRSharedTreeProcessor().process(
             small_grid, sources, destinations
         )
         assert set(got.paths) == set(ref.paths)
@@ -189,18 +175,6 @@ class TestProcessorsAndEngines:
             assert got.paths[pair].distance == path.distance
         assert got.stats.settled_nodes == ref.stats.settled_nodes
         assert got.searches == ref.searches
-
-    def test_bidirectional_processor_matches_dict(self, small_grid):
-        nodes = list(small_grid.nodes())
-        rng = random.Random(11)
-        sources = rng.sample(nodes, 2)
-        destinations = rng.sample(nodes, 3)
-        got = get_processor("bidirectional-csr").process(
-            small_grid, sources, destinations
-        )
-        for (s, t), path in got.paths.items():
-            ref = bidirectional_dijkstra_path(small_grid, s, t)
-            assert path.distance == ref.distance
 
     @pytest.mark.parametrize("engine", ["dijkstra-csr", "ch-csr"])
     def test_end_to_end_through_opaque_system(self, small_grid, engine):

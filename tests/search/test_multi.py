@@ -10,16 +10,16 @@ import pytest
 from repro.exceptions import QueryError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
+from repro.search.kernels import CSRBidirectionalPairwiseProcessor
 from repro.search.multi import (
     NaivePairwiseProcessor,
     SharedTreeProcessor,
     SideSelectingProcessor,
-    get_processor,
 )
 
 ALL_PROCESSORS = [
     NaivePairwiseProcessor(),
-    NaivePairwiseProcessor(engine="bidirectional"),
+    CSRBidirectionalPairwiseProcessor(),
     SharedTreeProcessor(),
     SideSelectingProcessor(),
 ]
@@ -97,18 +97,12 @@ class TestValidation:
         with pytest.raises(QueryError):
             NaivePairwiseProcessor().process(net, [nodes[0]], [nodes[1], nodes[1]])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            NaivePairwiseProcessor(engine="warp-drive")
-
     def test_bidirectional_engine_works_on_directed(self):
         net = RoadNetwork(directed=True)
         net.add_node(1, 0, 0)
         net.add_node(2, 1, 0)
         net.add_edge(1, 2, 2.5)
-        result = NaivePairwiseProcessor(engine="bidirectional").process(
-            net, [1], [2]
-        )
+        result = CSRBidirectionalPairwiseProcessor().process(net, [1], [2])
         assert result.paths[(1, 2)].distance == pytest.approx(2.5)
 
 
@@ -168,12 +162,3 @@ class TestMSMDResult:
         with pytest.raises(KeyError):
             result.path_for("nope", "nada")
 
-
-class TestRegistry:
-    @pytest.mark.parametrize("name", ["naive", "shared", "side-selecting"])
-    def test_get_processor_by_name(self, name):
-        assert get_processor(name).name == name
-
-    def test_unknown_name_lists_valid(self):
-        with pytest.raises(KeyError, match="shared"):
-            get_processor("quantum")

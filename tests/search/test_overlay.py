@@ -1,7 +1,8 @@
 """Unit tests for repro.search.overlay.
 
 Oracle parity over random networks is covered for both overlay engines
-by tests/search/test_engine_conformance.py; these tests pin down the
+(``overlay-csr`` and ``overlay-nested``) by
+tests/search/test_engine_conformance.py; these tests pin down the
 subsystem-specific behavior — customization sharing, the metric flag,
 persistence, and the targeted cases a conformance sweep may miss.
 """
@@ -15,14 +16,13 @@ import pytest
 from repro.exceptions import GraphError, NoPathError, UnknownNodeError
 from repro.network.generators import grid_network, tiger_like_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES, get_engine, get_processor
+from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import (
     CSROverlayProcessor,
     NestedOverlayGraph,
     NestedOverlayProcessor,
     OverlayGraph,
-    OverlayProcessor,
     build_nested_overlay,
     build_overlay,
     dumps_overlay,
@@ -35,40 +35,40 @@ from repro.search.overlay import (
 from repro.search.result import SearchStats
 
 
-@pytest.fixture(scope="module", params=["dict", "csr"])
-def kernel(request):
-    return request.param
-
-
 @pytest.fixture(scope="module")
 def net():
     return grid_network(12, 12, perturbation=0.1, seed=9)
 
 
 @pytest.fixture(scope="module")
-def overlay(net, kernel):
-    return build_overlay(net, cell_capacity=24, kernel=kernel)
+def overlay(net):
+    return build_overlay(net, cell_capacity=24)
 
 
 class TestBuild:
     def test_registry(self):
-        for name, cls in (
-            ("overlay", OverlayProcessor),
-            ("overlay-csr", CSROverlayProcessor),
-        ):
-            assert name in ENGINES
-            assert isinstance(get_processor(name), cls)
+        assert isinstance(
+            ENGINES["overlay-csr"].make_processor(), CSROverlayProcessor
+        )
+        with pytest.raises(KeyError, match="overlay-csr"):
+            get_engine("overlay")
 
-    def test_unknown_kernel(self, net):
-        with pytest.raises(GraphError, match="kernel"):
-            build_overlay(net, kernel="gpu")
+    def test_unknown_kernel(self, overlay):
+        # Only the csr kernel exists; a header naming any other one
+        # (e.g. the removed dict kernel) is rejected, never misread.
+        text = dumps_overlay(overlay)
+        assert "kernel csr\n" in text
+        for other in ("dict", "gpu"):
+            with pytest.raises(GraphError, match="kernel"):
+                loads_overlay(text.replace("kernel csr", f"kernel {other}"),
+                              overlay.network)
 
-    def test_metric_flag(self, net, kernel):
+    def test_metric_flag(self, net):
         # Grid weights are Euclidean lengths -> metric holds.
-        assert build_overlay(net, kernel=kernel).metric
+        assert build_overlay(net).metric
         # Travel-time weights undercut geometry -> metric must be off.
         tiger = tiger_like_network(blocks=2, block_size=3, seed=4)
-        assert not build_overlay(tiger, kernel=kernel).metric
+        assert not build_overlay(tiger).metric
 
     def test_repr_and_counters(self, overlay):
         assert "OverlayGraph(" in repr(overlay)
@@ -81,14 +81,14 @@ class TestBuild:
         assert overlay.customized_cells == overlay.num_cells
         assert overlay.customize_stats.settled_nodes > 0
 
-    def test_snapshot_memoized(self, kernel):
+    def test_snapshot_memoized(self):
         net = grid_network(6, 6, seed=2)
-        a = overlay_snapshot(net, kernel=kernel)
-        assert overlay_snapshot(net, kernel=kernel) is a
+        a = overlay_snapshot(net)
+        assert overlay_snapshot(net) is a
         net.add_edge(0, 7, 1.0)
-        assert overlay_snapshot(net, kernel=kernel) is not a
+        assert overlay_snapshot(net) is not a
 
-    def test_snapshot_does_not_pin_network(self, kernel):
+    def test_snapshot_does_not_pin_network(self):
         # The memo must hold snapshots weakly: an OverlayGraph strongly
         # references its network, so a strong global cache would leak
         # every network routed with an overlay engine.
@@ -96,7 +96,7 @@ class TestBuild:
         import weakref
 
         net = grid_network(5, 5, seed=3)
-        overlay_snapshot(net, kernel=kernel)
+        overlay_snapshot(net)
         ref = weakref.ref(net)
         del net
         gc.collect()
@@ -112,17 +112,17 @@ class TestRoute:
         with pytest.raises(UnknownNodeError):
             overlay.route(5, "nope")
 
-    def test_no_path_on_disconnected(self, kernel):
+    def test_no_path_on_disconnected(self):
         net = RoadNetwork()
         for i in range(4):
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        ov = build_overlay(net, cell_capacity=2, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=2)
         with pytest.raises(NoPathError):
             ov.route(0, 3)
 
-    def test_same_cell_exit_and_reenter(self, kernel):
+    def test_same_cell_exit_and_reenter(self):
         # Two nodes in one cell whose shortest path leaves the cell: the
         # in-cell road is a detour (weight 10), the outside route is 3.
         net = RoadNetwork()
@@ -138,8 +138,7 @@ class TestRoute:
             net,
             partition=None,
             cell_capacity=2,
-            kernel=kernel,
-        )
+            )
         if ov.partition.cell_of[0] == ov.partition.cell_of[1]:
             path = ov.route(0, 1)
             assert path.distance == pytest.approx(3.0)
@@ -151,16 +150,15 @@ class TestRoute:
         assert stats.settled_nodes > 0
         assert stats.heap_pushes > 0
 
-    def test_engine_route_builds_context(self, net, kernel):
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        engine = get_engine(name)
+    def test_engine_route_builds_context(self, net):
+        engine = get_engine("overlay-csr")
         ref = dijkstra_path(net, 3, 140).distance
         assert engine.route(net, 3, 140).distance == pytest.approx(ref)
 
 
 class TestRecustomize:
-    def test_untouched_cells_are_shared(self, net, kernel):
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
+    def test_untouched_cells_are_shared(self, net):
+        ov = build_overlay(net, cell_capacity=24)
         mutated = net.copy()
         target = None
         for u, v, w in mutated.edges():
@@ -169,7 +167,7 @@ class TestRecustomize:
                 break
         assert target is not None
         u, v, w = target
-        ov = build_overlay(mutated, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(mutated, cell_capacity=24)
         mutated.add_edge(u, v, w * 2.0)
         touched = ov.touched_cells([(u, v)])
         refreshed = ov.recustomized(touched)
@@ -180,11 +178,11 @@ class TestRecustomize:
             else:
                 assert refreshed.cliques[cell] is ov.cliques[cell]
 
-    def test_noop_cells_are_skipped(self, net, kernel):
+    def test_noop_cells_are_skipped(self, net):
         """Re-writing an edge with its *unchanged* weight leaves the
         intra-cell fingerprint intact: the cell is not recomputed and
         its clique tables are shared with the source overlay."""
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=24)
         u, v, w = next(
             (u, v, w)
             for u, v, w in net.edges()
@@ -202,12 +200,12 @@ class TestRecustomize:
         refreshed = ov.recustomized(touched, changed_edges=[(u, v)])
         assert refreshed.customized_cells == len(touched)
 
-    def test_deserialized_overlay_recomputes_conservatively(self, net, kernel):
+    def test_deserialized_overlay_recomputes_conservatively(self, net):
         """Fingerprints do not survive serialization; a loaded overlay
         must recompute every touched cell rather than wrongly skip."""
         from repro.search.overlay import dumps_overlay, loads_overlay
 
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=24)
         loaded = loads_overlay(dumps_overlay(ov), net)
         u, v, w = next(
             (u, v, w)
@@ -219,9 +217,9 @@ class TestRecustomize:
         refreshed = loaded.recustomized(touched, changed_edges=[(u, v)])
         assert refreshed.customized_cells == len(touched)
 
-    def test_cut_edge_touches_no_cell_but_refreshes_weight(self, kernel):
+    def test_cut_edge_touches_no_cell_but_refreshes_weight(self):
         net = grid_network(8, 8, perturbation=0.1, seed=3)
-        ov = build_overlay(net, cell_capacity=16, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=16)
         cut = next(
             (u, v)
             for u, v, _w in net.edges()
@@ -246,7 +244,6 @@ class TestPersistence:
         text = dumps_overlay(overlay)
         loaded = loads_overlay(text, net)
         assert dumps_overlay(loaded) == text
-        assert loaded.kernel == overlay.kernel
         assert loaded.metric == overlay.metric
         ref = dijkstra_path(net, 0, 143).distance
         assert loaded.route(0, 143).distance == pytest.approx(ref)
@@ -267,9 +264,9 @@ class TestPersistence:
         with pytest.raises(GraphError, match="record kind"):
             loads_overlay("kernel csr\ncapacity 4\nfrobnicate\n", net)
 
-    def test_rejects_clique_outside_boundary(self, kernel):
+    def test_rejects_clique_outside_boundary(self):
         net = grid_network(4, 4, seed=1)
-        ov = build_overlay(net, cell_capacity=8, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=8)
         interior = next(
             n for n in net.nodes()
             if n not in ov.boundary_index
@@ -278,31 +275,29 @@ class TestPersistence:
         with pytest.raises(GraphError):
             loads_overlay(text, net)
 
-    def test_rejects_non_integer_ids(self, kernel):
+    def test_rejects_non_integer_ids(self):
         net = RoadNetwork()
         net.add_node("a", 0.0, 0.0)
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
-        ov = build_overlay(net, cell_capacity=1, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=1)
         with pytest.raises(GraphError, match="integer"):
             dumps_overlay(ov)
 
 
 class TestProcessor:
-    def test_unreachable_pair_raises(self, kernel):
+    def test_unreachable_pair_raises(self):
         net = RoadNetwork()
         for i in range(4):
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        processor = get_processor(name)
+        processor = CSROverlayProcessor()
         with pytest.raises(NoPathError):
             processor.process(net, [0], [1, 3])
 
-    def test_wire_order_and_parity(self, net, kernel):
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        processor = get_processor(name)
+    def test_wire_order_and_parity(self, net):
+        processor = CSROverlayProcessor()
         rng = random.Random(4)
         nodes = list(net.nodes())
         sources = rng.sample(nodes, 3)
@@ -326,12 +321,12 @@ class TestNested:
 
     @pytest.fixture(scope="class")
     def nested(self, nnet):
-        return build_nested_overlay(nnet, kernel="csr")
+        return build_nested_overlay(nnet)
 
     def test_registry(self):
         assert "overlay-nested" in ENGINES
         assert isinstance(
-            get_processor("overlay-nested"), NestedOverlayProcessor
+            ENGINES["overlay-nested"].make_processor(), NestedOverlayProcessor
         )
 
     def test_repr_and_counters(self, nested):
@@ -367,12 +362,12 @@ class TestNested:
             assert got.nodes[0] == s and got.nodes[-1] == t
 
     def test_level1_byte_identical_to_flat(self, nnet, nested):
-        flat = build_overlay(nnet, kernel="csr")
+        flat = build_overlay(nnet)
         assert dumps_overlay(nested) == dumps_overlay(flat)
 
     def test_recustomized_shares_unaffected_supercells(self, nnet):
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         u, v, w = next(
             (u, v, w) for u, v, w in net.edges()
             if nested.touched_cells([(u, v)])
@@ -392,7 +387,7 @@ class TestNested:
 
     def test_recustomized_byte_identical_to_fresh_build(self, nnet):
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         u, v, w = next(
             (u, v, w) for u, v, w in net.edges()
             if nested.touched_cells([(u, v)])
@@ -401,7 +396,7 @@ class TestNested:
         refreshed = nested.recustomized(
             nested.touched_cells([(u, v)]), changed_edges=[(u, v)]
         )
-        fresh = build_nested_overlay(net, kernel="csr")
+        fresh = build_nested_overlay(net)
         assert dumps_overlay(refreshed) == dumps_overlay(fresh)
         assert refreshed.top_offsets == fresh.top_offsets
         assert refreshed.top_targets == fresh.top_targets
@@ -413,7 +408,7 @@ class TestNested:
         # level-1 overlay arcs and (for a crossing within one supercell)
         # that supercell's restricted cliques.
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         cell_of = nested.partition.cell_of
         u, v = next(
             (u, v) for u, v, _w in net.edges()
@@ -422,7 +417,7 @@ class TestNested:
         net.add_edge(u, v, net.edge_weight(u, v) * 4.0)
         assert nested.touched_cells([(u, v)]) == set()
         refreshed = nested.recustomized(set(), changed_edges=[(u, v)])
-        fresh = build_nested_overlay(net, kernel="csr")
+        fresh = build_nested_overlay(net)
         assert dumps_overlay(refreshed) == dumps_overlay(fresh)
         assert refreshed.top_weights == fresh.top_weights
         rng = random.Random(2)
@@ -444,7 +439,7 @@ class TestNested:
 
         monkeypatch.setattr(overlay_mod, "_np", None)
         monkeypatch.setattr(kernels_mod, "_np", None)
-        scalar = build_nested_overlay(nnet, kernel="csr")
+        scalar = build_nested_overlay(nnet)
         assert scalar._top_np is None
         rng = random.Random(6)
         nodes = sorted(nnet.nodes())
@@ -460,12 +455,12 @@ class TestNested:
         net = grid_network(6, 6, seed=2)
         a = nested_overlay_snapshot(net)
         assert nested_overlay_snapshot(net) is a
-        assert overlay_snapshot(net, kernel="csr") is not a
+        assert overlay_snapshot(net) is not a
         net.add_edge(0, 7, 1.0)
         assert nested_overlay_snapshot(net) is not a
 
     def test_msmd_parity(self, nnet):
-        processor = get_processor("overlay-nested")
+        processor = NestedOverlayProcessor()
         rng = random.Random(4)
         nodes = sorted(nnet.nodes())
         sources = rng.sample(nodes, 3)

@@ -193,19 +193,18 @@ class TestCSRBlob:
 
     def test_wrong_kind_rejected(self, net, tmp_path):
         path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net, kernel="csr"), path)
+        write_overlay_blob(overlay_snapshot(net), path)
         with pytest.raises(GraphError, match="CSR blob"):
             read_csr_blob(path)
 
 
 class TestOverlayBlob:
     def test_flat_round_trip_byte_identical(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="csr")
+        overlay = overlay_snapshot(net)
         path = tmp_path / "o.ovlb"
         write_overlay_blob(overlay, path)
         loaded = read_overlay_blob(path, net)
         assert type(loaded) is type(overlay)
-        assert loaded.kernel == "csr"
         assert dumps_overlay(loaded) == dumps_overlay(overlay)
         nodes = sorted(net.nodes())
         got = loaded.route(nodes[0], nodes[-1])
@@ -214,7 +213,7 @@ class TestOverlayBlob:
         assert got.distance == pytest.approx(ref.distance, abs=1e-9)
 
     def test_identical_overlays_write_identical_blobs(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="csr")
+        overlay = overlay_snapshot(net)
         write_overlay_blob(overlay, tmp_path / "a.ovlb")
         write_overlay_blob(overlay, tmp_path / "b.ovlb")
         assert (
@@ -223,7 +222,7 @@ class TestOverlayBlob:
         )
 
     def test_nested_round_trip(self, net, tmp_path):
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         path = tmp_path / "n.ovlb"
         write_overlay_blob(nested, path)
         loaded = read_overlay_blob(path, net)
@@ -241,20 +240,25 @@ class TestOverlayBlob:
         ref = nested.route(nodes[2], nodes[-3])
         assert got.nodes == ref.nodes
 
-    def test_dict_kernel_round_trip(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="dict")
+    def test_foreign_kernel_rejected(self, net, tmp_path, monkeypatch):
+        # A blob written for any kernel but csr (e.g. by the removed dict
+        # kernel) is refused, never misread as a csr overlay.
+        import repro.search.overlay as overlay_mod
+
+        overlay = overlay_snapshot(net)
         path = tmp_path / "o.ovlb"
+        monkeypatch.setattr(overlay_mod, "_KERNEL", "dict")
         write_overlay_blob(overlay, path)
-        loaded = read_overlay_blob(path, net)
-        assert loaded.kernel == "dict"
-        assert dumps_overlay(loaded) == dumps_overlay(overlay)
+        monkeypatch.undo()
+        with pytest.raises(GraphError, match="kernel 'dict'"):
+            read_overlay_blob(path, net)
 
     def test_non_integer_ids_rejected(self, tmp_path):
         net = RoadNetwork()
         net.add_node("a", 0.0, 0.0)
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
-        overlay = overlay_snapshot(net, kernel="dict")
+        overlay = overlay_snapshot(net)
         with pytest.raises(GraphError, match="integer"):
             write_overlay_blob(overlay, tmp_path / "x.ovlb")
 
@@ -266,7 +270,7 @@ class TestOverlayBlob:
 
     def test_mismatched_network_rejected(self, net, tmp_path):
         path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net, kernel="csr"), path)
+        write_overlay_blob(overlay_snapshot(net), path)
         other = grid_network(5, 5, seed=1)
         with pytest.raises(GraphError):
             read_overlay_blob(path, other)
@@ -306,7 +310,7 @@ class TestCacheIntegration:
         for engine, suffix in [
             ("overlay-nested", "ovlb"),
             ("dijkstra-csr", "csrb"),
-            ("ch", "ch"),
+            ("ch-csr", "ch"),
         ]:
             cache.get(net, engine)
             path = cache.spill_now(fingerprint, engine)

@@ -210,7 +210,7 @@ class TestCacheInterplay:
         config = CoalesceConfig(max_batch=4, max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch", coalesce=config),
+            ServingConfig(engine="ch-csr", coalesce=config),
         ) as stack:
             stack.answer_batch(queries)
             stack.answer_batch(_queries(small_grid, n=4, seed=9))

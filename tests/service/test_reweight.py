@@ -78,21 +78,21 @@ class TestReweight:
             # ... and answers reflect the new weights exactly (the old
             # result table stopped matching via the fingerprint).
             assert not response.from_cache
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
 
     def test_matches_scratch_build(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay", max_workers=1),
+            ServingConfig(engine="overlay-csr", max_workers=1),
         ) as stack:
             stack.warm()
             u, v, w = next(net.edges())
             stack.reweight([(u, v, w * 2.0)])
             installed = stack.preprocessing.peek(
-                stack._fingerprint(), "overlay"
+                stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(net, kernel="dict")
+                build_overlay(stack.network)
             )
 
     def test_missing_edge_rejected(self, net):
@@ -115,7 +115,9 @@ class TestReweight:
         ) as stack:
             with pytest.raises(EdgeError):
                 stack.reweight([(u, v, w * 2.0), (u, v, bad)])
-        # Atomic: the valid leading change was not applied either.
+            # Atomic: the valid leading change was not installed either.
+            assert stack.epoch == 0
+            assert stack.network is net
         assert net.edge_weight(u, v) == w
         assert net.version == version
 
@@ -139,14 +141,14 @@ class TestReweight:
                 stack._fingerprint(), "overlay-csr"
             )
             assert not dropped.metric
-            _assert_exact(net, stack.answer(_query(net, 3, 140)))
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
             # ... and restoring the weight turns it back on.
             stack.reweight([(u, v, w)])
             restored = stack.preprocessing.peek(
                 stack._fingerprint(), "overlay-csr"
             )
             assert restored.metric
-            _assert_exact(net, stack.answer(_query(net, 3, 140)))
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
 
     def test_non_overlay_engine_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
@@ -159,7 +161,7 @@ class TestReweight:
             assert not outcome.recustomized
             assert outcome.touched_cells == ()
             response = stack.answer(_query(net, 3, 140))
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
 
     def test_shared_cache_never_recustomizes_foreign_overlay(self):
         # Two stacks over content-identical network *objects* share one
@@ -187,7 +189,9 @@ class TestReweight:
             )
             outcome = stack_a.reweight([(u, v, w * 10.0)])
             assert not outcome.recustomized
-            _assert_exact(net_a, stack_a.answer(_query(net_a, 3, 77)))
+            _assert_exact(
+                stack_a.network, stack_a.answer(_query(net_a, 3, 77))
+            )
 
     def test_cold_cache_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
@@ -198,7 +202,18 @@ class TestReweight:
             outcome = stack.reweight([(u, v, w * 2.0)])
             assert not outcome.recustomized
             response = stack.answer(_query(net, 3, 140))
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
+
+    def test_in_place_reweight_was_removed(self, net):
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            u, v, w = next(net.edges())
+            with pytest.raises(ValueError, match="in-place"):
+                stack.reweight([(u, v, w * 2.0)], epoch=False)
+            assert stack.epoch == 0
+        assert net.edge_weight(u, v) == w
 
 
 @pytest.mark.skipif(
@@ -211,38 +226,6 @@ class TestReweightPoolCoherence:
     the persistent pool's cumulative delta map — otherwise the next
     pooled refresh computes cliques from the blob's pre-change weights
     and silently serves wrong distances."""
-
-    def test_bypassed_reweight_reaches_the_pool(self, net):
-        with ServingStack.from_config(
-            net,
-            ServingConfig(
-                engine="overlay-csr", max_workers=1, customize_workers=2
-            ),
-        ) as stack:
-            stack.customizer._start_method = "fork"
-            stack.warm()
-            # Round 1: pooled recustomize — spills the blob.
-            r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
-            assert stack.reweight(r1).recustomized
-            assert stack.customizer.spills == 1
-            # Round 2: the pool is bypassed, but the network moves.
-            r2 = [(u, v, w * 3.0) for u, v, w in list(net.edges())[1::7]]
-            assert not stack.reweight(r2, recustomize=False).recustomized
-            # Round 3: back on the pool (the artifact was not refreshed
-            # in round 2, so rebuild it serially first).  The workers
-            # must observe round 2's weights too, not just round 3's.
-            stack.warm()
-            r3 = [(u, v, w * 0.8) for u, v, w in list(net.edges())[2::6]]
-            assert stack.reweight(r3).recustomized
-            installed = stack.preprocessing.peek(
-                stack._fingerprint(), "overlay-csr"
-            )
-            assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(net, kernel="csr")
-            )
-            # The bypass was absorbed into the delta map, not papered
-            # over by a fresh spill.
-            assert stack.customizer.spills == 1
 
     def test_bypassed_epoch_reweight_reaches_the_pool(self, net):
         with ServingStack.from_config(
@@ -272,7 +255,7 @@ class TestReweightPoolCoherence:
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network, kernel="csr")
+                build_overlay(stack.network)
             )
             assert stack.customizer.spills == 1
 
@@ -291,7 +274,7 @@ class TestDispatchHint:
     def test_hint_none_without_overlay(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="ch", max_workers=1),
+            ServingConfig(engine="ch-csr", max_workers=1),
         ) as stack:
             stack.warm()
             assert stack.dispatch_hint(_query(net, 3, 140)) is None
@@ -349,7 +332,7 @@ class TestOverlaySpill:
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
         cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        cache.get(net, "overlay")
+        cache.get(net, "overlay-csr")
         other = grid_network(4, 4, seed=1)
         cache.get(other, "dijkstra")  # evicts; spill must not blow up
         assert not list(tmp_path.glob("*.ovlb"))

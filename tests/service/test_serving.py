@@ -77,7 +77,7 @@ class TestServingStack:
         pre = PreprocessingCache()
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch", max_workers=2),
+            ServingConfig(engine="ch-csr", max_workers=2),
             preprocessing_cache=pre,
         ) as stack:
             stack.answer_batch(_queries(small_grid, n=4))
@@ -96,7 +96,9 @@ class TestServingStack:
             assert stack.answer(query).from_cache
 
     def test_warm_builds_artifact_once(self, small_grid):
-        with ServingStack.from_config(small_grid, ServingConfig(engine="ch")) as stack:
+        with ServingStack.from_config(
+            small_grid, ServingConfig(engine="ch-csr")
+        ) as stack:
             first = stack.warm()
             assert stack.warm() is first
             assert stack.preprocessing.misses == 1
@@ -171,7 +173,7 @@ class TestOpaqueSystemIntegration:
     def test_serving_is_exclusive_with_engine(self, small_grid):
         stack = ServingStack.from_config(small_grid)
         with pytest.raises(ValueError):
-            OpaqueSystem(small_grid, serving=stack, engine="ch")
+            OpaqueSystem(small_grid, serving=stack, engine="ch-csr")
         with pytest.raises(ValueError):
             OpaqueSystem(small_grid, serving=stack, paged=True)
         stack.close()
@@ -345,7 +347,7 @@ class TestServingConfig:
     def test_frozen(self):
         config = ServingConfig()
         with pytest.raises(AttributeError):
-            config.engine = "overlay"
+            config.engine = "overlay-csr"
 
     def test_to_dict_shape(self, tmp_path):
         from repro.service.serving import CoalesceConfig
@@ -367,15 +369,11 @@ class TestServingConfig:
             queries = _queries(small_grid, n=2)
             assert stack.answer_batch(queries)
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, small_grid):
-        with pytest.warns(DeprecationWarning, match="ServingStack"):
-            stack = ServingStack(small_grid, engine="dijkstra", max_workers=2)
-        with stack:
-            assert stack.config == ServingConfig(
-                engine="dijkstra", max_workers=2
-            )
-            queries = _queries(small_grid, n=2)
-            assert stack.answer_batch(queries)
+    def test_legacy_kwargs_rejected(self, small_grid):
+        # The keyword constructor was removed: a ServingConfig is the
+        # only way to say how a stack is built.
+        with pytest.raises(TypeError):
+            ServingStack(small_grid, engine="dijkstra", max_workers=2)
 
     def test_from_config_does_not_warn(self, small_grid, recwarn):
         with ServingStack.from_config(

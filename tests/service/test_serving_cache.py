@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.network.generators import grid_network
-from repro.search.ch import ContractedGraph
+from repro.search.kernels import CSRHierarchy
 from repro.search.multi import MSMDResult
 from repro.search.result import PathResult
 from repro.service.cache import (
@@ -48,25 +48,25 @@ class TestNetworkFingerprint:
 class TestPreprocessingCache:
     def test_hit_miss_counters(self, small_grid):
         cache = PreprocessingCache(capacity=2)
-        first = cache.get(small_grid, "ch")
-        assert isinstance(first, ContractedGraph)
+        first = cache.get(small_grid, "ch-csr")
+        assert isinstance(first, CSRHierarchy)
         assert (cache.hits, cache.misses) == (0, 1)
-        again = cache.get(small_grid, "ch")
+        again = cache.get(small_grid, "ch-csr")
         assert again is first  # same artifact object, not a rebuild
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_engine_is_part_of_the_key(self, small_grid):
         cache = PreprocessingCache(capacity=4)
-        cache.get(small_grid, "ch")
+        cache.get(small_grid, "ch-csr")
         cache.get(small_grid, "alt")
         assert cache.misses == 2 and len(cache) == 2
 
     def test_mutated_network_misses(self, small_grid):
         net = small_grid.copy()
         cache = PreprocessingCache(capacity=4)
-        first = cache.get(net, "ch")
+        first = cache.get(net, "ch-csr")
         net.add_edge(0, 22, 0.01)
-        second = cache.get(net, "ch")
+        second = cache.get(net, "ch-csr")
         assert second is not first
         assert cache.misses == 2 and cache.hits == 0
 
@@ -84,20 +84,6 @@ class TestPreprocessingCache:
         assert cache.get(small_grid, "dijkstra") is None
         assert cache.get(small_grid, "dijkstra") is None
         assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_disk_spill_round_trip(self, tmp_path):
-        net_a = grid_network(4, 4, perturbation=0.0, seed=1)
-        net_b = grid_network(5, 5, perturbation=0.0, seed=2)
-        cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        built = cache.get(net_a, "ch")
-        cache.get(net_b, "ch")  # evicts and spills net_a's graph
-        assert cache.evictions == 1
-        assert list(tmp_path.glob("*.ch")), "evicted graph was not spilled"
-        reloaded = cache.get(net_a, "ch")
-        assert cache.disk_loads == 1
-        assert reloaded is not built
-        assert reloaded.num_nodes == built.num_nodes
-        assert reloaded.num_shortcuts == built.num_shortcuts
 
     def test_disk_spill_round_trip_ch_csr(self, tmp_path):
         from repro.search.kernels import CSRHierarchy, csr_ch_path
@@ -123,10 +109,10 @@ class TestPreprocessingCache:
 
     def test_invalidate(self, small_grid):
         cache = PreprocessingCache(capacity=2)
-        cache.get(small_grid, "ch")
-        assert cache.invalidate(small_grid, "ch") is True
-        assert cache.invalidate(small_grid, "ch") is False
-        cache.get(small_grid, "ch")
+        cache.get(small_grid, "ch-csr")
+        assert cache.invalidate(small_grid, "ch-csr") is True
+        assert cache.invalidate(small_grid, "ch-csr") is False
+        cache.get(small_grid, "ch-csr")
         assert cache.misses == 2
 
     def test_unknown_engine_rejected(self, small_grid):
@@ -192,15 +178,15 @@ class TestInvalidateFingerprint:
         self, small_grid, tiger_net
     ):
         cache = PreprocessingCache(capacity=8)
-        cache.get(small_grid, "ch")
+        cache.get(small_grid, "ch-csr")
         cache.get(small_grid, "dijkstra-csr")
-        cache.get(tiger_net, "ch")
+        cache.get(tiger_net, "ch-csr")
         fp = network_fingerprint(small_grid)
         assert cache.invalidate_fingerprint(fp) == 2
-        assert cache.peek(fp, "ch") is None
+        assert cache.peek(fp, "ch-csr") is None
         assert cache.peek(fp, "dijkstra-csr") is None
         # The other fingerprint's artifact survives.
-        assert cache.peek(network_fingerprint(tiger_net), "ch") is not None
+        assert cache.peek(network_fingerprint(tiger_net), "ch-csr") is not None
         # Idempotent: nothing left to drop.
         assert cache.invalidate_fingerprint(fp) == 0
 

@@ -61,6 +61,19 @@ class TestRoute:
         assert "distance:" in out
         assert "route: 0" in out
 
+    @pytest.mark.parametrize(
+        "removed, replacement",
+        [("bidirectional", "bidirectional-csr"), ("ch", "ch-csr"),
+         ("overlay", "overlay-csr")],
+    )
+    def test_removed_engine_names_its_replacement(
+        self, map_file, capsys, removed, replacement
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", map_file, "0", "99", "--engine", removed])
+        assert exc.value.code == 2
+        assert f"use '{replacement}'" in capsys.readouterr().err
+
     def test_avoid_highways_flag(self, map_file, capsys):
         assert main(["route", map_file, "0", "99", "--avoid-highways"]) == 0
         assert "distance:" in capsys.readouterr().out
@@ -94,7 +107,7 @@ class TestProtect:
 
     def test_protect_with_ch_engine(self, map_file, capsys):
         assert main(
-            ["protect", map_file, "0", "99", "--engine", "ch"]
+            ["protect", map_file, "0", "99", "--engine", "ch-csr"]
         ) == 0
         out = capsys.readouterr().out
         assert "distance:" in out
@@ -236,7 +249,7 @@ class TestServeReplay:
         self, map_file, workload_file, capsys
     ):
         assert main(
-            ["serve-replay", map_file, workload_file, "--engine", "ch"]
+            ["serve-replay", map_file, workload_file, "--engine", "ch-csr"]
         ) == 0
         out = capsys.readouterr().out
         assert "preprocessing cache:" in out

@@ -59,7 +59,6 @@ from repro.network.generators import grid_network  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.record import MetricsRecorder, recording  # noqa: E402
 from repro.search.ch import contract_network  # noqa: E402
-from repro.search.ch.manytomany import ch_many_to_many  # noqa: E402
 from repro.search.dijkstra import dijkstra_path  # noqa: E402
 from repro.search.kernels import (  # noqa: E402
     CSRHierarchy,
@@ -169,14 +168,11 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
         if got_msmd.paths[pair].distance != path.distance:
             raise SystemExit("FATAL: CSR MSMD distances diverge from shared trees")
 
-    # CH many-to-many: dict buckets vs CSR buckets (one shared contraction,
-    # also timed as the "full rebuild" a traffic update would cost a CH
-    # deployment — the denominator of the recustomization ratio below).
+    # CH many-to-many on the CSR buckets (the contraction is also timed
+    # as the "full rebuild" a traffic update would cost a CH deployment
+    # — the denominator of the recustomization ratio below).
     t_contract, contracted = _best_of(lambda: contract_network(net), repeats)
     hierarchy = CSRHierarchy(contracted)
-    t_m2m_dict, _ = _best_of(
-        lambda: ch_many_to_many(contracted, sources, destinations), repeats
-    )
     t_m2m_csr, _ = _best_of(
         lambda: csr_ch_many_to_many(hierarchy, sources, destinations), repeats
     )
@@ -188,7 +184,7 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # recustomizing the single cell containing a re-weighted edge vs the
     # full CH contraction above.  Cut/boundary/clique counters are
     # deterministic partitioner outputs; any change is a layout change.
-    overlay = build_overlay(net, kernel="csr")
+    overlay = build_overlay(net)
     t_overlay, got_overlay = _best_of(
         lambda: [overlay.route(s, t).distance for s, t in pairs], repeats
     )
@@ -338,11 +334,20 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # not gated — a divergence is a correctness bug, not a regression).
     # The multi-process ratio is normalized per usable core so the gate
     # transfers between the 1-CPU CI box (ratio ~1 is ideal there) and
-    # many-core hosts (ratio ~workers is ideal).
+    # many-core hosts (ratio ~workers is ideal); workers never exceed
+    # the core count, since oversubscribed shards only measure the
+    # scheduler.  The result cache is off, so every request pays its
+    # search and the ratio measures how that work spreads over shards
+    # (with it on, nearly every request is a hit and the ratio only
+    # measures pipe overhead).  Both gateways stay up and their load
+    # runs alternate round by round, each side taking its best round —
+    # the noise shield of every ratio here: a slow stretch on a shared
+    # host lands on both sides of a round, and one quiet round per side
+    # recovers the truth.
     gateway_engine = "dijkstra-csr"
     gateway_queries = pipeline_queries
     gateway_requests = [RouteRequest.from_query(q) for q in gateway_queries]
-    gateway_repeats = 3 if full else 2
+    gateway_repeats = 6 if full else 4
     with ServingStack.from_config(
         net,
         ServingConfig(engine=gateway_engine),
@@ -354,48 +359,51 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             for r in identity_stack.answer_batch(gateway_queries)
         ) * gateway_repeats
 
-    def run_gateway_load(workers: int):
-        label = f"{workers}-worker" if workers else "single-process"
-        with GatewayServer(
-            net,
-            ServingConfig(engine=gateway_engine),
-            GatewayConfig(workers=workers),
-        ) as server:
-            best = None
-            for _ in range(repeats):
-                report = run_load(
-                    server.host,
-                    server.port,
-                    gateway_requests,
-                    clients=4,
-                    repeats=gateway_repeats,
-                    capture_payloads=True,
-                )
-                if report.errors:
-                    raise SystemExit(
-                        f"FATAL: gateway {label} run returned "
-                        f"{report.errors} HTTP errors"
-                    )
-                got = sorted(
-                    RouteResponse.from_json(p).payload_json()
-                    for p in report.payloads
-                )
-                if sorted(got) != sorted(expected_payloads):
-                    raise SystemExit(
-                        f"FATAL: gateway {label} responses diverge from "
-                        "in-process answer_batch"
-                    )
-                if best is None or report.rps > best.rps:
-                    best = report
-            return best
+    def gateway_round(server, label: str):
+        report = run_load(
+            server.host,
+            server.port,
+            gateway_requests,
+            clients=4,
+            repeats=gateway_repeats,
+            capture_payloads=True,
+        )
+        if report.errors:
+            raise SystemExit(
+                f"FATAL: gateway {label} run returned "
+                f"{report.errors} HTTP errors"
+            )
+        got = sorted(
+            RouteResponse.from_json(p).payload_json()
+            for p in report.payloads
+        )
+        if got != sorted(expected_payloads):
+            raise SystemExit(
+                f"FATAL: gateway {label} responses diverge from "
+                "in-process answer_batch"
+            )
+        return report
 
-    gateway_single = run_gateway_load(0)
-    gateway_workers = 4
-    gateway_multi = run_gateway_load(gateway_workers)
     cores = os.cpu_count() or 1
+    gateway_workers = min(4, cores)
+    gateway_single = gateway_multi = None
+    gateway_serving = ServingConfig(engine=gateway_engine, result_capacity=0)
+    with GatewayServer(
+        net, gateway_serving, GatewayConfig(workers=0)
+    ) as single_server, GatewayServer(
+        net, gateway_serving, GatewayConfig(workers=gateway_workers)
+    ) as multi_server:
+        for _ in range(max(repeats, 3)):
+            single = gateway_round(single_server, "single-process")
+            multi = gateway_round(
+                multi_server, f"{gateway_workers}-worker"
+            )
+            if gateway_single is None or single.rps > gateway_single.rps:
+                gateway_single = single
+            if gateway_multi is None or multi.rps > gateway_multi.rps:
+                gateway_multi = multi
     mp_speedup_per_core = (
-        (gateway_multi.rps / gateway_single.rps)
-        / min(gateway_workers, cores)
+        (gateway_multi.rps / gateway_single.rps) / gateway_workers
     )
 
     metrics = {
@@ -505,7 +513,8 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "min": 25.0,
             "desc": (
                 "single-process HTTP requests/s through the gateway "
-                "(4 keep-alive clients; conservative absolute floor)"
+                "(4 keep-alive clients, result cache off; conservative "
+                "absolute floor)"
             ),
         },
         "gateway_p99_ms": {
@@ -522,8 +531,9 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "direction": "higher",
             "min": 0.4,
             "desc": (
-                "4-shard-worker RPS over single-process RPS, divided by "
-                "min(4, cores) — ~1.0 is ideal scaling on any host; the "
+                "min(4, cores)-shard-worker RPS over single-process RPS "
+                "(interleaved rounds, best of each side), divided by the "
+                "worker count — ~1.0 is ideal scaling on any host; the "
                 "absolute floor catches dispatch pathologies without "
                 "demanding parallel speedup of a 1-CPU box"
             ),
@@ -541,9 +551,8 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "point_csr_ms": round(t_csr * 1000, 2),
             "msmd_dict_ms": round(t_msmd_dict * 1000, 2),
             "msmd_csr_ms": round(t_msmd_csr * 1000, 2),
-            # CH m2m finishes in ~10ms on the quick grid, so its wall
-            # ratio is too noisy to gate — recorded for humans only.
-            "m2m_ch_dict_ms": round(t_m2m_dict * 1000, 2),
+            # CH m2m finishes in ~10ms on the quick grid: recorded for
+            # humans only, too short to gate.
             "m2m_ch_csr_ms": round(t_m2m_csr * 1000, 2),
             "ch_contract_ms": round(t_contract * 1000, 2),
             "overlay_point_ms": round(t_overlay * 1000, 2),
@@ -654,10 +663,10 @@ def run_grid200(repeats: int = 3) -> dict:
         if math.hypot(sr - tr, sc - tc) >= 0.75 * diagonal:
             far_pairs.append((s, t))
     t0 = time.perf_counter()
-    flat = build_overlay(net, kernel="csr", cell_capacity=80)
+    flat = build_overlay(net, cell_capacity=80)
     t_flat_build = time.perf_counter() - t0
     t0 = time.perf_counter()
-    nested = build_nested_overlay(net, kernel="csr", cell_capacity=80)
+    nested = build_nested_overlay(net, cell_capacity=80)
     t_nested_build = time.perf_counter() - t0
     oracle = [
         csr_dijkstra_path(net, s, t, csr=csr).distance for s, t in far_pairs
@@ -707,15 +716,15 @@ def run_grid200(repeats: int = 3) -> dict:
             serial_cliques = {}
             sstats = SearchStats()
             for cell in range(part.num_cells):
-                fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell, "csr")
+                fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell)
                 serial_cliques[cell] = OverlayGraph._customize_cell(
-                    net, part, cell, "csr", fcsr, sstats
+                    net, part, cell, fcsr, sstats
                 )
             t_cust_serial = min(t_cust_serial, time.perf_counter() - start)
             start = time.perf_counter()
             pstats = SearchStats()
             par_cliques = customizer.customize(
-                net, part, "csr", range(part.num_cells), pstats,
+                net, part, range(part.num_cells), pstats,
                 changed_edges=None if round_no == 0 else (),
             )
             t_cust_par = min(t_cust_par, time.perf_counter() - start)
@@ -918,7 +927,7 @@ def run_metro(
         pool_warm_s = customizer.warm()
         t0 = time.perf_counter()
         overlay = build_overlay(
-            net, kernel="csr", cell_capacity=capacity, customizer=customizer
+            net, cell_capacity=capacity, customizer=customizer
         )
         t_build = time.perf_counter() - t0
         cells_per_sec = customizer.last_cells_per_sec
